@@ -1,7 +1,12 @@
 // CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected 0x82F63B78) — the
-// checksum the checkpoint wire layer stamps on every 2 MiB region frame.
-// Software table implementation; no hardware dependency, bit-identical on
-// every platform (the integrity tests golden-compare digests across runs).
+// checksum the checkpoint wire layer stamps on every 2 MiB region frame and
+// the durable store stamps on every WAL and snapshot record.
+//
+// On x86-64 CPUs with SSE4.2 the CRC runs on the `crc32` instruction (eight
+// bytes per step); elsewhere it falls back to a byte-at-a-time table. The
+// choice is made once per process from the CPU's feature bits. Both kernels
+// compute the same standard CRC32C, so every value is bit-identical on every
+// platform (the integrity tests golden-compare digests across runs).
 #pragma once
 
 #include <cstdint>

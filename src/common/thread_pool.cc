@@ -46,29 +46,67 @@ void ThreadPool::worker_loop() {
   }
 }
 
+void ThreadPool::claim_and_run(Batch& batch) {
+  for (;;) {
+    std::size_t shard = 0;
+    {
+      std::lock_guard lock(mu_);
+      if (batch.next == batch.shards) return;
+      shard = batch.next++;
+    }
+    // A claimed shard keeps the caller waiting, so shard_fn is still alive.
+    std::exception_ptr error;
+    try {
+      (*batch.shard_fn)(shard);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    std::lock_guard lock(mu_);
+    if (error && !batch.error) batch.error = error;
+    if (--batch.unfinished == 0) batch_done_.notify_all();
+  }
+}
+
+void ThreadPool::run_batch(std::size_t shards,
+                           const std::function<void(std::size_t)>& shard_fn) {
+  auto batch = std::make_shared<Batch>();
+  batch->shard_fn = &shard_fn;
+  batch->shards = shards;
+  batch->unfinished = shards;
+  // The caller takes shards too, so one helper fewer than shards keeps the
+  // parallelism at min(shards, size()).
+  const std::size_t helpers = std::min(shards, size()) - 1;
+  if (helpers > 0) {
+    {
+      std::lock_guard lock(mu_);
+      for (std::size_t h = 0; h < helpers; ++h) {
+        tasks_.emplace([this, batch] { claim_and_run(*batch); });
+      }
+    }
+    for (std::size_t h = 0; h < helpers; ++h) cv_.notify_one();
+  }
+  claim_and_run(*batch);
+  std::exception_ptr error;
+  {
+    std::unique_lock<RankedMutex> lock(mu_);
+    batch_done_.wait(lock, [&batch] { return batch->unfinished == 0; });
+    error = batch->error;
+  }
+  if (error) std::rethrow_exception(error);
+}
+
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   const std::size_t parts = std::min(n, size());
-  std::vector<std::future<void>> futs;
-  futs.reserve(parts);
-  for (std::size_t p = 0; p < parts; ++p) {
-    const std::size_t begin = n * p / parts;
+  run_batch(parts, [&fn, n, parts](std::size_t p) {
     const std::size_t end = n * (p + 1) / parts;
-    futs.push_back(submit([&fn, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    }));
-  }
-  for (auto& f : futs) f.get();
+    for (std::size_t i = n * p / parts; i < end; ++i) fn(i);
+  });
 }
 
 void ThreadPool::run_per_worker(const std::function<void(std::size_t)>& fn) {
-  std::vector<std::future<void>> futs;
-  futs.reserve(size());
-  for (std::size_t w = 0; w < size(); ++w) {
-    futs.push_back(submit([&fn, w] { fn(w); }));
-  }
-  for (auto& f : futs) f.get();
+  run_batch(size(), fn);
 }
 
 }  // namespace here::common

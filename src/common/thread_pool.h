@@ -4,11 +4,18 @@
 // these threads, so the concurrent code paths the paper describes are
 // exercised for real; only the *reported* durations come from the virtual
 // time model.
+//
+// parallel_for and run_per_worker split their work into shards that the
+// calling thread and queued helper tasks claim one at a time. The caller
+// works instead of sleeping, so a batch never waits for a worker to wake up
+// just to start; a shard runs exactly once, on whichever thread claims it.
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -31,23 +38,41 @@ class ThreadPool {
   // Enqueues a task; returns a future for its completion.
   std::future<void> submit(std::function<void()> task);
 
-  // Runs `fn(i)` for i in [0, n) partitioned statically across the pool and
-  // blocks until all complete. Exceptions propagate to the caller.
+  // Runs `fn(i)` for i in [0, n), partitioned statically into at most
+  // size() contiguous ranges, and blocks until all complete. Exceptions
+  // propagate to the caller.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  // Runs one task per worker (task receives its worker index 0..size()-1)
-  // and blocks until all complete. This is the shape of HERE's migrator
-  // threads: worker w owns the 2 MiB regions with index % P == w.
+  // Runs `fn(w)` once for every worker index w in 0..size()-1 and blocks
+  // until all complete. This is the shape of HERE's migrator threads: shard
+  // w owns the 2 MiB regions with index % P == w.
   void run_per_worker(const std::function<void(std::size_t)>& fn);
 
  private:
+  // One parallel_for/run_per_worker call: `shards` shards, claimed in index
+  // order. Shared with its helper tasks, which may start after the call has
+  // returned and then find nothing left to claim. Guarded by mu_.
+  struct Batch {
+    const std::function<void(std::size_t)>* shard_fn = nullptr;
+    std::size_t shards = 0;
+    std::size_t next = 0;      // first unclaimed shard
+    std::size_t unfinished = 0;
+    std::exception_ptr error;  // first exception thrown by a shard
+  };
+
   void worker_loop();
+  // Claims and runs shards of `batch` until none is left unclaimed.
+  void claim_and_run(Batch& batch);
+  void run_batch(std::size_t shards,
+                 const std::function<void(std::size_t)>& shard_fn);
 
   std::vector<std::thread> workers_;
   std::queue<std::packaged_task<void()>> tasks_;
   RankedMutex mu_{LockRank::kThreadPoolQueue, "thread_pool.queue"};
-  // Ranked CV: workers must wait holding only mu_ (lost-wakeup guard).
+  // Ranked CVs: waiters hold only mu_ (lost-wakeup guard). cv_ wakes workers
+  // for queued tasks; batch_done_ wakes callers whose batch has finished.
   RankedConditionVariable cv_;
+  RankedConditionVariable batch_done_;
   bool stopping_ = false;
 };
 

@@ -1,25 +1,40 @@
 #include "hv/guest_memory.h"
 
-#include <cassert>
+#include <algorithm>
 #include <stdexcept>
 
 namespace here::hv {
 
 using common::kPageSize;
 
+std::uint64_t page_bytes_digest(std::span<const std::uint8_t> page) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : page) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 GuestMemory::GuestMemory(std::uint64_t pages, std::uint32_t vcpus)
     : pages_(pages), vcpus_(vcpus), frames_(pages * kPageSize, 0) {
   if (pages == 0) throw std::invalid_argument("GuestMemory: zero pages");
   if (vcpus == 0) throw std::invalid_argument("GuestMemory: zero vcpus");
+  // Fresh frames are all zero: every cache entry starts out as the zero
+  // page's digest.
+  digests_ = std::make_unique_for_overwrite<std::uint64_t[]>(pages);
+  digest_valid_ = std::make_unique_for_overwrite<std::uint8_t[]>(pages);
+  std::fill_n(digests_.get(), pages, page_bytes_digest(page(0)));
+  std::fill_n(digest_valid_.get(), pages, std::uint8_t{1});
 }
 
 void GuestMemory::write(std::uint32_t vcpu, common::Gfn gfn, std::size_t offset,
                         std::span<const std::uint8_t> data) {
-  assert(vcpu < vcpus_);
-  if (gfn >= pages_ || offset + data.size() > kPageSize) {
+  if (vcpu >= vcpus_ || gfn >= pages_ || offset + data.size() > kPageSize) {
     throw std::out_of_range("GuestMemory::write out of range");
   }
   std::memcpy(frames_.data() + gfn * kPageSize + offset, data.data(), data.size());
+  digest_valid_[gfn] = 0;
   ++stores_;
   if (shadow_log_ != nullptr) shadow_log_->set(gfn);
   if (!pml_rings_.empty()) pml_rings_[vcpu].log(gfn);
@@ -46,27 +61,22 @@ std::span<const std::uint8_t> GuestMemory::page(common::Gfn gfn) const {
   return {frames_.data() + gfn * kPageSize, kPageSize};
 }
 
-std::span<std::uint8_t> GuestMemory::page_mut(common::Gfn gfn) {
-  if (gfn >= pages_) throw std::out_of_range("GuestMemory::page_mut");
-  return {frames_.data() + gfn * kPageSize, kPageSize};
-}
-
 void GuestMemory::install_page(common::Gfn gfn,
                                std::span<const std::uint8_t> data) {
   if (gfn >= pages_ || data.size() != kPageSize) {
     throw std::out_of_range("GuestMemory::install_page");
   }
   std::memcpy(frames_.data() + gfn * kPageSize, data.data(), kPageSize);
+  digest_valid_[gfn] = 0;
 }
 
 std::uint64_t GuestMemory::page_digest(common::Gfn gfn) const {
   const auto p = page(gfn);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : p) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
+  if (digest_valid_[gfn] == 0) {
+    digests_[gfn] = page_bytes_digest(p);
+    digest_valid_[gfn] = 1;
   }
-  return h;
+  return digests_[gfn];
 }
 
 std::uint64_t GuestMemory::full_digest() const {

@@ -5,6 +5,17 @@
 // and (b) feeds whichever dirty logs the hypervisor currently has enabled:
 // the global shadow-paging bitmap (Xen/Remus path) and/or the per-vCPU PML
 // rings (HERE's multithreaded seeding path).
+//
+// Page digests are cached: one FNV-1a digest plus one validity byte per page.
+// Entries start valid (fresh frames are zero), every mutator (write,
+// write_u64, install_page) drops its page's entry, and page_digest() refills
+// it on a miss. There is no writable page view, so no store can bypass the
+// invalidation: a cached digest always equals page_bytes_digest(page(gfn)).
+//
+// Threading contract: calls on *distinct* pages may run concurrently (each
+// page's cache entry is its own memory location). Calls on the *same* page —
+// page_digest included, since a miss fills the entry — must not race each
+// other or a mutator of that page.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +29,11 @@
 #include "hv/pml_ring.h"
 
 namespace here::hv {
+
+// FNV-1a over one page's bytes: the digest behind GuestMemory::page_digest,
+// also used by the encoder for its primary-side content references.
+[[nodiscard]] std::uint64_t page_bytes_digest(
+    std::span<const std::uint8_t> page);
 
 class GuestMemory {
  public:
@@ -33,7 +49,8 @@ class GuestMemory {
 
   // --- Guest-side access (dirty-tracked) -----------------------------------
 
-  // Store from vCPU `vcpu` into page `gfn` at byte `offset`.
+  // Store from vCPU `vcpu` into page `gfn` at byte `offset`. Throws
+  // std::out_of_range for a bad vCPU, gfn or offset.
   void write(std::uint32_t vcpu, common::Gfn gfn, std::size_t offset,
              std::span<const std::uint8_t> data);
 
@@ -46,14 +63,14 @@ class GuestMemory {
   // --- Host-side access (no dirty tracking) --------------------------------
 
   [[nodiscard]] std::span<const std::uint8_t> page(common::Gfn gfn) const;
-  [[nodiscard]] std::span<std::uint8_t> page_mut(common::Gfn gfn);
 
   // Raw store that bypasses dirty logging — used when the *replica* engine
   // applies a received checkpoint (those writes must not look like guest
-  // activity).
+  // activity), and by tests that model bit rot.
   void install_page(common::Gfn gfn, std::span<const std::uint8_t> data);
 
-  // FNV-1a digest of one page / of all memory; used by consistency tests.
+  // page_bytes_digest(page(gfn)), served from the per-page cache; and the
+  // FNV-1a fold of every page digest.
   [[nodiscard]] std::uint64_t page_digest(common::Gfn gfn) const;
   [[nodiscard]] std::uint64_t full_digest() const;
 
@@ -77,6 +94,10 @@ class GuestMemory {
   std::uint64_t pages_;
   std::uint32_t vcpus_;
   std::vector<std::uint8_t> frames_;
+  // Per-page digest cache (see the threading contract above). Plain arrays,
+  // one element per page, so entries of distinct pages never share state.
+  mutable std::unique_ptr<std::uint64_t[]> digests_;
+  mutable std::unique_ptr<std::uint8_t[]> digest_valid_;
   common::DirtyBitmap* shadow_log_ = nullptr;
   std::span<PmlRing> pml_rings_;
   std::uint64_t stores_ = 0;

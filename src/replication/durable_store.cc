@@ -6,6 +6,7 @@
 
 #include "common/crc32c.h"
 #include "hv/guest_memory.h"
+#include "replication/encoder.h"
 #include "replication/staging.h"
 
 namespace here::rep {
@@ -154,88 +155,99 @@ bool deserialize_frame(Reader& r, std::uint64_t epoch,
   return r.ok;
 }
 
-bool page_is_zero(std::span<const std::uint8_t> page) {
-  for (const std::uint8_t b : page) {
-    if (b != 0) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 DurableStore::DurableStore(DurableStoreConfig config) : config_(config) {}
 
-void DurableStore::append_record(std::vector<std::uint8_t>& segment,
-                                 std::uint32_t kind,
-                                 std::span<const std::uint8_t> payload) {
-  put_u32(segment, kRecordMagic);
-  put_u32(segment, kind);
-  put_u64(segment, payload.size());
-  put_bytes(segment, payload);
-  put_u32(segment, common::crc32c(payload));
-  stats_.bytes_appended += payload.size() + kRecordOverhead;
-}
-
 void DurableStore::write_snapshot(std::uint64_t epoch,
                                   const hv::GuestMemory& memory,
                                   const hv::VirtualDisk& disk) {
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, epoch);
-  const std::size_t count_at = payload.size();
-  put_u64(payload, 0);  // patched below with the stored-page count
-  std::uint64_t stored = 0;
+  // Single pass: size the record exactly, then write header, payload and CRC
+  // straight into one reserved segment (the image is copied once, and the
+  // CRC runs over the payload in place). The segment is the spare the last
+  // rotation retired, so its capacity is normally already there.
+  std::vector<std::uint8_t> segment;
+  {
+    std::lock_guard lock(mu_);
+    segment = std::move(spare_seg_);
+  }
+  segment.clear();
+  std::vector<common::Gfn> stored;
   for (std::uint64_t gfn = 0; gfn < memory.pages(); ++gfn) {
-    const std::span<const std::uint8_t> page = memory.page(common::Gfn{gfn});
-    if (page_is_zero(page)) continue;  // fresh frames are zeroed at recovery
-    put_u64(payload, gfn);
-    put_bytes(payload, page);
-    ++stored;
+    // Fresh frames are zeroed at recovery, so zero pages are not stored.
+    if (!is_zero_page(memory.page(common::Gfn{gfn}))) stored.push_back(gfn);
   }
-  for (int i = 0; i < 8; ++i) {
-    payload[count_at + i] = static_cast<std::uint8_t>(stored >> (i * 8));
-  }
-  put_u64(payload, disk.total_sectors());
   const auto stamps = disk.sorted_stamps();
-  put_u64(payload, stamps.size());
-  for (const auto& [sector, stamp] : stamps) {
-    put_u64(payload, sector);
-    put_u64(payload, stamp);
+  const std::uint64_t payload_len = 8 + 8 + stored.size() * (8 + kPageSize) +
+                                    8 + 8 + stamps.size() * (8 + 8);
+  // Reserve for a fully populated image: the stored-page count only grows as
+  // the guest dirties fresh pages, so an exact reserve would outgrow the
+  // spare on almost every rotation. Untouched capacity is never faulted in.
+  segment.reserve(payload_len + kRecordOverhead +
+                  (memory.pages() - stored.size()) * (8 + kPageSize));
+  put_u32(segment, kRecordMagic);
+  put_u32(segment, kKindSnapshot);
+  put_u64(segment, payload_len);
+  const std::size_t payload_at = segment.size();
+  put_u64(segment, epoch);
+  put_u64(segment, stored.size());
+  for (const common::Gfn gfn : stored) {
+    put_u64(segment, gfn);
+    put_bytes(segment, memory.page(gfn));
   }
+  put_u64(segment, disk.total_sectors());
+  put_u64(segment, stamps.size());
+  for (const auto& [sector, stamp] : stamps) {
+    put_u64(segment, sector);
+    put_u64(segment, stamp);
+  }
+  put_u32(segment, common::crc32c({segment.data() + payload_at, payload_len}));
 
   std::lock_guard lock(mu_);
   // Atomic rotation: the fresh snapshot is fully serialized and CRC-sealed
   // before it replaces the old segment; only then is the WAL cleared.
-  std::vector<std::uint8_t> segment;
-  append_record(segment, kKindSnapshot, payload);
+  spare_seg_ = std::move(snapshot_seg_);
   snapshot_seg_ = std::move(segment);
+  stats_.bytes_appended += payload_len + kRecordOverhead;
   wal_seg_.clear();
   wal_records_ = 0;
   ++stats_.snapshots;
 }
 
 void DurableStore::append_epoch(const WalRecord& record) {
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, record.epoch);
-  put_u16(payload, record.version);
-  put_u64(payload, record.header_digest);
-  put_u32(payload, static_cast<std::uint32_t>(record.frames.size()));
-  for (const wire::RegionFrame& frame : record.frames) {
-    serialize_frame(payload, frame);
-  }
-  put_u32(payload, static_cast<std::uint32_t>(record.disk_writes.size()));
-  for (const hv::DiskWrite& write : record.disk_writes) {
-    put_u64(payload, write.sector);
-    put_u32(payload, write.sectors);
-    put_u64(payload, write.stamp);
-  }
-  put_u32(payload, static_cast<std::uint32_t>(record.region_digests.size()));
-  for (const auto& [region, digest] : record.region_digests) {
-    put_u32(payload, region);
-    put_u64(payload, digest);
-  }
-
   std::lock_guard lock(mu_);
-  append_record(wal_seg_, kKindWalEpoch, payload);
+  // Single pass, like write_snapshot: the record is serialized straight into
+  // the WAL segment, whose capacity survives rotations, and CRC'd in place.
+  const std::size_t len_at = wal_seg_.size() + 8;
+  put_u32(wal_seg_, kRecordMagic);
+  put_u32(wal_seg_, kKindWalEpoch);
+  put_u64(wal_seg_, 0);  // patched below with the payload length
+  const std::size_t payload_at = wal_seg_.size();
+  put_u64(wal_seg_, record.epoch);
+  put_u16(wal_seg_, record.version);
+  put_u64(wal_seg_, record.header_digest);
+  put_u32(wal_seg_, static_cast<std::uint32_t>(record.frames.size()));
+  for (const wire::RegionFrame& frame : record.frames) {
+    serialize_frame(wal_seg_, frame);
+  }
+  put_u32(wal_seg_, static_cast<std::uint32_t>(record.disk_writes.size()));
+  for (const hv::DiskWrite& write : record.disk_writes) {
+    put_u64(wal_seg_, write.sector);
+    put_u32(wal_seg_, write.sectors);
+    put_u64(wal_seg_, write.stamp);
+  }
+  put_u32(wal_seg_, static_cast<std::uint32_t>(record.region_digests.size()));
+  for (const auto& [region, digest] : record.region_digests) {
+    put_u32(wal_seg_, region);
+    put_u64(wal_seg_, digest);
+  }
+  const std::uint64_t payload_len = wal_seg_.size() - payload_at;
+  for (int i = 0; i < 8; ++i) {
+    wal_seg_[len_at + i] = static_cast<std::uint8_t>(payload_len >> (i * 8));
+  }
+  put_u32(wal_seg_,
+          common::crc32c({wal_seg_.data() + payload_at, payload_len}));
+  stats_.bytes_appended += payload_len + kRecordOverhead;
   ++wal_records_;
   ++stats_.wal_appends;
 }
@@ -346,6 +358,16 @@ std::uint64_t DurableStore::wal_bytes() const {
 std::uint64_t DurableStore::snapshot_bytes() const {
   std::lock_guard lock(mu_);
   return snapshot_seg_.size();
+}
+
+std::vector<std::uint8_t> DurableStore::snapshot_segment() const {
+  std::lock_guard lock(mu_);
+  return snapshot_seg_;
+}
+
+std::vector<std::uint8_t> DurableStore::wal_segment() const {
+  std::lock_guard lock(mu_);
+  return wal_seg_;
 }
 
 std::uint64_t DurableStore::wal_record_count() const {

@@ -129,6 +129,10 @@ class DurableStore {
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::uint64_t wal_bytes() const;
   [[nodiscard]] std::uint64_t snapshot_bytes() const;
+  // Copies of the sealed snapshot segment (empty before the first snapshot)
+  // and of the WAL segment, for byte-exact format tests.
+  [[nodiscard]] std::vector<std::uint8_t> snapshot_segment() const;
+  [[nodiscard]] std::vector<std::uint8_t> wal_segment() const;
   [[nodiscard]] std::uint64_t wal_record_count() const;
 
   // --- Fault injection (src/faults drives these) ------------------------------
@@ -141,9 +145,6 @@ class DurableStore {
   void truncate_wal_tail(std::uint64_t bytes);
 
  private:
-  void append_record(std::vector<std::uint8_t>& segment, std::uint32_t kind,
-                     std::span<const std::uint8_t> payload);
-
   // Serializes the frame/commit write path against the recovery read path
   // and the fault hooks. Ranked above rep.staging_commit (300): the store is
   // invoked from inside ReplicaStaging::commit() with commit_mu_ held.
@@ -152,6 +153,10 @@ class DurableStore {
 
   DurableStoreConfig config_;
   std::vector<std::uint8_t> snapshot_seg_;
+  // The segment the last rotation retired, kept as the next snapshot's
+  // buffer: a rotation rewrites already-mapped memory instead of allocating
+  // (and page-faulting in) a fresh image-sized segment every time.
+  std::vector<std::uint8_t> spare_seg_;
   std::vector<std::uint8_t> wal_seg_;
   std::uint64_t wal_records_ = 0;
   Stats stats_;

@@ -10,19 +10,19 @@ namespace here::rep {
 using common::kPageSize;
 
 bool is_zero_page(std::span<const std::uint8_t> page) {
-  for (const std::uint8_t b : page) {
-    if (b != 0) return false;
+  const std::uint8_t* p = page.data();
+  std::size_t n = page.size();
+  for (; n >= 64; p += 64, n -= 64) {
+    std::uint64_t w[8];
+    std::memcpy(w, p, sizeof(w));
+    if ((w[0] | w[1] | w[2] | w[3] | w[4] | w[5] | w[6] | w[7]) != 0) {
+      return false;
+    }
+  }
+  for (; n > 0; ++p, --n) {
+    if (*p != 0) return false;
   }
   return true;
-}
-
-std::uint64_t page_bytes_digest(std::span<const std::uint8_t> page) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : page) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 namespace {
@@ -235,7 +235,7 @@ void EncoderPipeline::encode_region(const hv::GuestMemory& memory,
       }
     }
     if (!encoded && track_refs && has_ref_[gfn] != 0) {
-      hash = page_bytes_digest(page);
+      hash = hv::page_bytes_digest(page);
       hashed = true;
       ++work.hashes;
       if (config_.hash_skip && hash == committed_hash_[gfn]) {
@@ -277,8 +277,8 @@ void EncoderPipeline::encode_region(const hv::GuestMemory& memory,
       // The committed content after this epoch lands is exactly what we just
       // encoded; kSkip keeps the old reference, everything else re-hashes.
       p.hash = meta.enc == wire::PageEncoding::kSkip ? committed_hash_[gfn]
-               : hashed                              ? hash
-                                                     : page_bytes_digest(page);
+               : hashed ? hash
+                        : hv::page_bytes_digest(page);
       if (!hashed && meta.enc != wire::PageEncoding::kSkip) ++work.hashes;
       if (config_.delta) p.content.assign(page.begin(), page.end());
       staged.push_back(std::move(p));

@@ -85,13 +85,8 @@ struct EncodeWork {
   std::uint64_t bytes_out = 0;    // encoded payload bytes produced
 };
 
-// True when every byte of `page` is zero.
+// True when every byte of `page` is zero (tested a word at a time).
 [[nodiscard]] bool is_zero_page(std::span<const std::uint8_t> page);
-
-// FNV-1a over the page bytes — the same digest family as
-// hv::GuestMemory::page_digest, so primary-side references compare directly
-// against the replica's committed image.
-[[nodiscard]] std::uint64_t page_bytes_digest(std::span<const std::uint8_t> page);
 
 // XOR+RLE delta transform. Encode XORs `page` against `base` and emits
 // [u16 zero-run][u16 literal-len][literal bytes] records (little-endian);

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "common/dirty_bitmap.h"
 #include "common/thread_pool.h"
@@ -174,6 +178,51 @@ TEST(ThreadPool, ExceptionsPropagateThroughParallelFor) {
                           if (i == 5) throw std::runtime_error("boom");
                         }),
       std::runtime_error);
+}
+
+TEST(ThreadPool, ExceptionsPropagateThroughRunPerWorker) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> ran(4);
+  const auto shard = [&](std::size_t w) {
+    ran[w].fetch_add(1);
+    if (w == 1) throw std::runtime_error("boom");
+  };
+  EXPECT_THROW(pool.run_per_worker(shard), std::runtime_error);
+  // The other shards still ran, each exactly once.
+  for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
+}
+
+// The caller claims shards itself, so a batch finishes even when every
+// worker is busy and none of its helper tasks has started yet.
+TEST(ThreadPool, CallerRunsShardsWhileWorkersAreBusy) {
+  ThreadPool pool(2);
+  std::promise<void> gate;
+  std::shared_future<void> open = gate.get_future().share();
+  std::vector<std::future<void>> busy;
+  for (int i = 0; i < 2; ++i) {
+    busy.push_back(pool.submit([open] { open.wait(); }));
+  }
+  std::vector<std::atomic<int>> hits(100);
+  pool.parallel_for(100, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  gate.set_value();
+  for (auto& f : busy) f.get();
+}
+
+TEST(ThreadPool, ConcurrentCallersShareOnePool) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(2 * 500);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < 2; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < 20; ++round) {
+        pool.parallel_for(
+            500, [&](std::size_t i) { hits[c * 500 + i].fetch_add(1); });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 20);
 }
 
 TEST(ThreadPool, ZeroThreadsClampsToOne) {

@@ -6,6 +6,7 @@
 #include "hv/guest_memory.h"
 #include "hv/pml_ring.h"
 #include "hv/vm.h"
+#include "sim/rng.h"
 #include "xensim/xen_hypervisor.h"
 
 namespace here::hv {
@@ -29,6 +30,15 @@ TEST(GuestMemory, BoundsChecking) {
   EXPECT_THROW((void)mem.page(4), std::out_of_range);
   EXPECT_THROW(GuestMemory(0, 1), std::invalid_argument);
   EXPECT_THROW(GuestMemory(1, 0), std::invalid_argument);
+
+  // A vCPU index past the VM's count must not reach the per-vCPU PML rings.
+  std::vector<PmlRing> rings(1);
+  rings[0].set_page_count(4);
+  mem.enable_pml(rings);
+  EXPECT_THROW(mem.write_u64(1, 0, 0, 1), std::out_of_range);
+  EXPECT_EQ(rings[0].pending(), 0u);
+  EXPECT_EQ(mem.read_u64(0, 0), 0u);
+  EXPECT_EQ(mem.store_count(), 0u);
 }
 
 TEST(GuestMemory, DigestReflectsContent) {
@@ -40,6 +50,64 @@ TEST(GuestMemory, DigestReflectsContent) {
   EXPECT_EQ(a.page_digest(3), b.page_digest(3));
   b.install_page(2, a.page(2));
   EXPECT_EQ(a.full_digest(), b.full_digest());
+}
+
+TEST(GuestMemory, CachedDigestsMatchRecomputedUnderRandomMutation) {
+  constexpr std::uint64_t kPages = 48;
+  GuestMemory mem(kPages, 2);
+  sim::Rng rng(0xd16e57);
+  const auto fresh_full_digest = [&mem] {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (common::Gfn g = 0; g < mem.pages(); ++g) {
+      h ^= page_bytes_digest(mem.page(g));
+      h *= 0x100000001b3ULL;
+    }
+    return h;
+  };
+  // Fresh frames start with valid (zero-page) entries.
+  ASSERT_EQ(mem.full_digest(), fresh_full_digest());
+  for (int step = 0; step < 20000; ++step) {
+    const common::Gfn g = rng.uniform(kPages);
+    const auto vcpu = static_cast<std::uint32_t>(rng.uniform(2));
+    switch (rng.uniform(6)) {
+      case 0: {
+        std::vector<std::uint8_t> bytes(1 + rng.uniform(64));
+        for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform(256));
+        const std::size_t offset =
+            rng.uniform(common::kPageSize - bytes.size() + 1);
+        mem.write(vcpu, g, offset, bytes);
+        break;
+      }
+      case 1:
+        mem.write_u64(vcpu, g, 8 * rng.uniform(common::kPageSize / 8),
+                      rng.uniform(4) == 0 ? 0 : rng.next_u64());
+        break;
+      case 2: {
+        // Zero pages, copies of another page and fresh random content.
+        std::vector<std::uint8_t> page(common::kPageSize, 0);
+        const std::uint64_t kind = rng.uniform(3);
+        if (kind == 1) {
+          const auto other = mem.page(rng.uniform(kPages));
+          std::copy(other.begin(), other.end(), page.begin());
+        } else if (kind == 2) {
+          for (auto& b : page) b = static_cast<std::uint8_t>(rng.uniform(256));
+        }
+        mem.install_page(g, page);
+        break;
+      }
+      case 3:
+      case 4:
+        ASSERT_EQ(mem.page_digest(g), page_bytes_digest(mem.page(g)))
+            << "gfn " << g << " at step " << step;
+        break;
+      default:
+        ASSERT_EQ(mem.full_digest(), fresh_full_digest()) << "step " << step;
+        break;
+    }
+  }
+  for (common::Gfn g = 0; g < kPages; ++g) {
+    EXPECT_EQ(mem.page_digest(g), page_bytes_digest(mem.page(g))) << g;
+  }
 }
 
 TEST(GuestMemory, ShadowLogMarksWrites) {

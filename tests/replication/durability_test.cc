@@ -11,6 +11,7 @@
 //   * no-store fallback: without a DurableStore the rejoin is a full resync.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "faults/fault_plan.h"
 #include "faults/injector.h"
 #include "hv/disk.h"
+#include "hv/guest_memory.h"
 #include "hv/hypervisor.h"
 #include "replication/durable_store.h"
 #include "replication/staging.h"
@@ -204,6 +206,190 @@ TEST(Durability, RotationSnapshotsAndPointInTimeRestore) {
   for (std::uint32_t r = 0; r < rec.region_count(); ++r) {
     EXPECT_EQ(rec.committed_region_digest(r), rec.live_region_digest(r))
         << "region " << r;
+  }
+}
+
+// --- Snapshot segment format -------------------------------------------------
+
+// Deterministic 64-page image: zero pages, random full pages, and pages whose
+// only non-zero byte is the first or the last one; plus a few disk stamps.
+void fill_golden_image(hv::GuestMemory& mem, hv::VirtualDisk& disk) {
+  sim::Rng rng(0x601de);
+  std::vector<std::uint8_t> page(common::kPageSize);
+  const std::uint8_t one[1] = {0x5a};
+  for (common::Gfn g = 0; g < mem.pages(); ++g) {
+    switch (g % 4) {
+      case 0:
+        break;  // stays zero
+      case 1:
+        for (auto& b : page) b = static_cast<std::uint8_t>(rng.uniform(256));
+        mem.install_page(g, page);
+        break;
+      case 2:
+        mem.write(0, g, 0, one);
+        break;
+      default:
+        mem.write(0, g, common::kPageSize - 1, one);
+        break;
+    }
+  }
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    const std::uint64_t sector = rng.uniform(1u << 20);
+    const auto sectors = 1 + static_cast<std::uint32_t>(rng.uniform(4));
+    ASSERT_TRUE(disk.apply({sector, sectors, rng.next_u64()}));
+  }
+}
+
+TEST(Durability, SnapshotSegmentMatchesGoldenBytesAndRoundTrips) {
+  hv::GuestMemory mem(64, 1);
+  hv::VirtualDisk disk(1u << 20);
+  fill_golden_image(mem, disk);
+  DurableStore store;
+  store.write_snapshot(42, mem, disk);
+
+  // Golden values of the segment as the record format defines it (recorded
+  // from the original multi-copy serializer): 48 non-zero pages, 9 stamped
+  // sectors, one framed record sealed with CRC32C.
+  const std::vector<std::uint8_t> segment = store.snapshot_segment();
+  ASSERT_EQ(segment.size(), 197188u);
+  EXPECT_EQ(store.snapshot_bytes(), segment.size());
+  EXPECT_EQ(store.stats().bytes_appended, segment.size());
+  std::uint64_t fnv = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : segment) fnv = (fnv ^ b) * 0x100000001b3ULL;
+  EXPECT_EQ(fnv, 0x7b1ad939b8c1c3cbULL);
+  const std::size_t tail = segment.size() - 4;
+  const std::uint32_t crc = segment[tail] | (segment[tail + 1] << 8) |
+                            (segment[tail + 2] << 16) |
+                            (std::uint32_t{segment[tail + 3]} << 24);
+  EXPECT_EQ(crc, 0x6cbbd82fu);
+
+  const auto snap = store.read_snapshot();
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ((*snap).epoch, 42u);
+  ASSERT_EQ((*snap).pages.size(), 48u);
+  for (const auto& [gfn, bytes] : (*snap).pages) {
+    EXPECT_NE(gfn % 4, 0u) << "zero page " << gfn << " was stored";
+    const auto live = mem.page(gfn);
+    EXPECT_TRUE(
+        std::equal(bytes.begin(), bytes.end(), live.begin(), live.end()))
+        << "gfn " << gfn;
+  }
+  EXPECT_EQ((*snap).disk_total_sectors, disk.total_sectors());
+  EXPECT_EQ((*snap).disk_stamps, disk.sorted_stamps());
+}
+
+// A rotation builds the next snapshot in the segment the previous rotation
+// retired. Whatever that buffer held before, the sealed segment must be the
+// bytes a fresh store writes for the same image.
+TEST(Durability, RotationReusesRetiredSegmentWithoutStaleBytes) {
+  hv::GuestMemory mem(64, 1);
+  hv::VirtualDisk disk(1u << 20);
+  fill_golden_image(mem, disk);
+  DurableStore store;
+  store.write_snapshot(1, mem, disk);  // 48 pages
+  const std::uint8_t one[1] = {0x77};
+  for (common::Gfn g = 0; g < mem.pages(); g += 4) mem.write(0, g, 9, one);
+  store.write_snapshot(2, mem, disk);  // 64 pages
+  const std::vector<std::uint8_t> zero(common::kPageSize, 0);
+  for (common::Gfn g = 0; g < mem.pages(); g += 2) mem.install_page(g, zero);
+  store.write_snapshot(3, mem, disk);  // 32 pages, in the 48-page buffer
+
+  DurableStore fresh;
+  fresh.write_snapshot(3, mem, disk);
+  EXPECT_EQ(store.snapshot_segment(), fresh.snapshot_segment());
+  const auto snap = store.read_snapshot();
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ((*snap).epoch, 3u);
+  EXPECT_EQ((*snap).pages.size(), 32u);
+  EXPECT_EQ(store.stats().snapshots, 3u);
+}
+
+// --- WAL segment format ------------------------------------------------------
+
+// Two deterministic WAL records: one raw-framed, one with encoded frames;
+// each with disk writes and region digests.
+std::vector<WalRecord> golden_wal_records() {
+  sim::Rng rng(0x3a1);
+  std::vector<WalRecord> out;
+  for (std::uint16_t e = 0; e < 2; ++e) {
+    WalRecord rec;
+    rec.epoch = 7 + e;
+    rec.version = e == 0 ? wire::kWireVersionRaw : wire::kWireVersionEncoded;
+    rec.header_digest = rng.next_u64();
+    for (std::uint64_t seq = 0; seq < 3; ++seq) {
+      wire::RegionFrame f;
+      f.epoch = rec.epoch;
+      f.seq = seq;
+      f.region = static_cast<std::uint32_t>(2 * seq + e);
+      f.version = rec.version;
+      for (std::uint64_t i = 0; i <= seq; ++i) {
+        f.gfns.push_back(f.region * common::kPagesPerRegion + 3 * i);
+      }
+      const std::size_t per_page = e == 0 ? common::kPageSize : 24;
+      if (e == 1) {
+        for (std::size_t i = 0; i < f.gfns.size(); ++i) {
+          f.pages.push_back({wire::PageEncoding::kDelta,
+                             static_cast<std::uint32_t>(per_page),
+                             rng.next_u64()});
+        }
+      }
+      f.bytes.resize(f.gfns.size() * per_page);
+      for (auto& b : f.bytes) b = static_cast<std::uint8_t>(rng.uniform(256));
+      wire::seal_frame(f);
+      rec.frames.push_back(std::move(f));
+    }
+    for (std::uint64_t i = 0; i < 2; ++i) {
+      rec.disk_writes.push_back({rng.uniform(1u << 20),
+                                 1 + static_cast<std::uint32_t>(i),
+                                 rng.next_u64()});
+    }
+    for (const wire::RegionFrame& f : rec.frames) {
+      rec.region_digests.emplace_back(f.region, rng.next_u64());
+    }
+    out.push_back(std::move(rec));
+  }
+  return out;
+}
+
+TEST(Durability, WalSegmentMatchesGoldenBytesAndRoundTrips) {
+  const std::vector<WalRecord> records = golden_wal_records();
+  DurableStore store;
+  for (const WalRecord& rec : records) store.append_epoch(rec);
+
+  // Golden values recorded from the original serializer (payload built in a
+  // separate buffer, then framed and copied into the segment).
+  const std::vector<std::uint8_t> segment = store.wal_segment();
+  ASSERT_EQ(segment.size(), 25350u);
+  EXPECT_EQ(store.wal_bytes(), segment.size());
+  EXPECT_EQ(store.stats().bytes_appended, segment.size());
+  std::uint64_t fnv = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : segment) fnv = (fnv ^ b) * 0x100000001b3ULL;
+  EXPECT_EQ(fnv, 0x8606f12f4a0cd819ULL);
+
+  const DurableStore::Log log = store.read_log();
+  EXPECT_FALSE(log.damaged_tail);
+  EXPECT_EQ(log.bytes_read, segment.size());
+  ASSERT_EQ(log.records.size(), records.size());
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    const WalRecord& want = records[r];
+    const WalRecord& got = log.records[r];
+    EXPECT_EQ(got.epoch, want.epoch);
+    EXPECT_EQ(got.version, want.version);
+    EXPECT_EQ(got.header_digest, want.header_digest);
+    ASSERT_EQ(got.frames.size(), want.frames.size());
+    for (std::size_t i = 0; i < want.frames.size(); ++i) {
+      EXPECT_EQ(got.frames[i].seq, want.frames[i].seq);
+      EXPECT_EQ(got.frames[i].gfns, want.frames[i].gfns);
+      EXPECT_EQ(got.frames[i].pages.size(), want.frames[i].pages.size());
+      EXPECT_EQ(got.frames[i].bytes, want.frames[i].bytes);
+      EXPECT_EQ(got.frames[i].crc, want.frames[i].crc);
+    }
+    ASSERT_EQ(got.disk_writes.size(), want.disk_writes.size());
+    for (std::size_t i = 0; i < want.disk_writes.size(); ++i) {
+      EXPECT_EQ(got.disk_writes[i].sector, want.disk_writes[i].sector);
+      EXPECT_EQ(got.disk_writes[i].stamp, want.disk_writes[i].stamp);
+    }
+    EXPECT_EQ(got.region_digests, want.region_digests);
   }
 }
 

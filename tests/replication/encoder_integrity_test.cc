@@ -246,7 +246,10 @@ TEST(EncodedStreamIntegrity, ScrubRepairConvergesWithEncodersOn) {
   // the replica no longer holds. The scrubber must invalidate the region's
   // references so the repair ships raw — a delta against the rotten base
   // would be refused at every retry and the region would never converge.
-  staging->memory().page_mut(gfn)[0] ^= 0xff;
+  const auto clean = staging->memory().page(gfn);
+  std::vector<std::uint8_t> rotten(clean.begin(), clean.end());
+  rotten[0] ^= 0xff;
+  staging->memory().install_page(gfn, rotten);
   ASSERT_NE(staging->committed_region_digest(region),
             staging->live_region_digest(region));
 
@@ -302,7 +305,7 @@ TEST(EncodedStreamIntegrity, StaleDeltaBaseRefusedBeforeApply) {
   f.gfns = {5};
   f.pages = {{wire::PageEncoding::kDelta,
               static_cast<std::uint32_t>(delta.size()),
-              page_bytes_digest(stale_base)}};
+              hv::page_bytes_digest(stale_base)}};
   f.bytes = delta;
   wire::seal_frame(f);
   ASSERT_TRUE(wire::frame_intact(f));
@@ -337,7 +340,7 @@ TEST(EncodedStreamIntegrity, StaleSkipBaseRefusedBeforeApply) {
   f.version = wire::kWireVersionEncoded;
   f.gfns = {5};
   f.pages = {{wire::PageEncoding::kSkip, 0,
-              page_bytes_digest(patterned_page(0xd4))}};
+              hv::page_bytes_digest(patterned_page(0xd4))}};
   wire::seal_frame(f);
   ASSERT_TRUE(wire::frame_intact(f));
 

@@ -62,6 +62,14 @@ std::vector<std::uint8_t> random_page(sim::Rng& rng) {
   return page;
 }
 
+// Host-side single-byte flip (no dirty logging), as a sparse guest touch.
+void flip_byte(hv::GuestMemory& mem, common::Gfn gfn, std::size_t offset) {
+  const auto current = mem.page(gfn);
+  std::vector<std::uint8_t> page(current.begin(), current.end());
+  page[offset] ^= 0xff;
+  mem.install_page(gfn, page);
+}
+
 struct TrialResult {
   EncodeStats stats;
   std::uint64_t dirty_pages = 0;
@@ -99,7 +107,8 @@ TrialResult run_roundtrip(std::uint64_t seed, ContentClass cls,
   std::set<common::Gfn> dirty;
   while (dirty.size() < 64) dirty.insert(rng.uniform(kPages));
   for (const common::Gfn g : dirty) {
-    auto page = primary.page_mut(g);
+    const auto current = primary.page(g);
+    std::vector<std::uint8_t> page(current.begin(), current.end());
     switch (cls) {
       case ContentClass::kAllZero:
         std::fill(page.begin(), page.end(), std::uint8_t{0});
@@ -120,6 +129,7 @@ TrialResult run_roundtrip(std::uint64_t seed, ContentClass cls,
         break;
       }
     }
+    primary.install_page(g, page);
   }
 
   // Encode one frame per dirty region, seal, fold — the engine's framing.
@@ -338,8 +348,8 @@ TEST(EncoderShadowBudget, EvictedShadowFallsBackToRawAndBudgetHolds) {
   // The budget held shadows for gfns 0..3 only. A sparse touch on page 1
   // deltas against its shadow; the same touch on page 10 has no base left
   // and must ship raw (the fallback, not a failure).
-  mem.page_mut(1)[0] ^= 0xff;
-  mem.page_mut(10)[0] ^= 0xff;
+  flip_byte(mem, 1, 0);
+  flip_byte(mem, 10, 0);
   wire::RegionFrame f;
   f.epoch = 1;
   f.seq = 0;
@@ -358,7 +368,7 @@ TEST(EncoderShadowBudget, EvictedShadowFallsBackToRawAndBudgetHolds) {
   EXPECT_GT(enc.stats().shadow_evictions, 0u);
 
   // The recommitted page 10 has a shadow again and deltas next epoch.
-  mem.page_mut(10)[1] ^= 0xff;
+  flip_byte(mem, 10, 1);
   wire::RegionFrame f2;
   f2.epoch = 2;
   f2.seq = 0;

@@ -233,7 +233,10 @@ TEST(StreamIntegrity, ScrubDetectsAndRepairsPostCommitDivergence) {
 
   // Flip a byte in the replica image *after* commit — bit rot the primary
   // never sees. Only the scrubber's reference digests can catch this.
-  staging->memory().page_mut(gfn)[0] ^= 0xff;
+  const auto clean = staging->memory().page(gfn);
+  std::vector<std::uint8_t> rotten(clean.begin(), clean.end());
+  rotten[0] ^= 0xff;
+  staging->memory().install_page(gfn, rotten);
   ASSERT_NE(staging->committed_region_digest(region),
             staging->live_region_digest(region));
 

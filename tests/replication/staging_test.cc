@@ -204,8 +204,10 @@ TEST(ReplicaStagingEdge, CommitRecordsRegionDigestReferences) {
 
   // Post-commit divergence (bit rot / stray write) shows up as a live-vs-
   // reference mismatch — exactly what the background scrubber looks for.
-  auto page = staging.memory().page_mut(600);
-  page[0] ^= 0xff;
+  const auto clean = staging.memory().page(600);
+  std::vector<std::uint8_t> rotten(clean.begin(), clean.end());
+  rotten[0] ^= 0xff;
+  staging.memory().install_page(600, rotten);
   EXPECT_NE(staging.committed_region_digest(1), staging.live_region_digest(1));
   EXPECT_EQ(staging.committed_region_digest(0), staging.live_region_digest(0));
 }
