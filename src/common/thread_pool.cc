@@ -67,15 +67,22 @@ void ThreadPool::claim_and_run(Batch& batch) {
   }
 }
 
-void ThreadPool::run_batch(std::size_t shards,
-                           const std::function<void(std::size_t)>& shard_fn) {
+void ThreadPool::parallel_for(std::size_t n,
+                              const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
+  const std::size_t parts = std::min(n, size());
+  const std::function<void(std::size_t)> shard_fn = [&fn, n,
+                                                     parts](std::size_t p) {
+    const std::size_t end = n * (p + 1) / parts;
+    for (std::size_t i = n * p / parts; i < end; ++i) fn(i);
+  };
   auto batch = std::make_shared<Batch>();
   batch->shard_fn = &shard_fn;
-  batch->shards = shards;
-  batch->unfinished = shards;
-  // The caller takes shards too, so one helper fewer than shards keeps the
-  // parallelism at min(shards, size()).
-  const std::size_t helpers = std::min(shards, size()) - 1;
+  batch->shards = parts;
+  batch->unfinished = parts;
+  // The caller takes shards too, so one helper fewer than parts keeps the
+  // parallelism at min(n, size()).
+  const std::size_t helpers = parts - 1;
   if (helpers > 0) {
     {
       std::lock_guard lock(mu_);
@@ -93,20 +100,6 @@ void ThreadPool::run_batch(std::size_t shards,
     error = batch->error;
   }
   if (error) std::rethrow_exception(error);
-}
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t parts = std::min(n, size());
-  run_batch(parts, [&fn, n, parts](std::size_t p) {
-    const std::size_t end = n * (p + 1) / parts;
-    for (std::size_t i = n * p / parts; i < end; ++i) fn(i);
-  });
-}
-
-void ThreadPool::run_per_worker(const std::function<void(std::size_t)>& fn) {
-  run_batch(size(), fn);
 }
 
 }  // namespace here::common

@@ -5,10 +5,10 @@
 // exercised for real; only the *reported* durations come from the virtual
 // time model.
 //
-// parallel_for and run_per_worker split their work into shards that the
-// calling thread and queued helper tasks claim one at a time. The caller
-// works instead of sleeping, so a batch never waits for a worker to wake up
-// just to start; a shard runs exactly once, on whichever thread claims it.
+// parallel_for splits its work into shards that the calling thread and
+// queued helper tasks claim one at a time. The caller works instead of
+// sleeping, so a batch never waits for a worker to wake up just to start; a
+// shard runs exactly once, on whichever thread claims it.
 #pragma once
 
 #include <cstddef>
@@ -43,15 +43,10 @@ class ThreadPool {
   // propagate to the caller.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  // Runs `fn(w)` once for every worker index w in 0..size()-1 and blocks
-  // until all complete. This is the shape of HERE's migrator threads: shard
-  // w owns the 2 MiB regions with index % P == w.
-  void run_per_worker(const std::function<void(std::size_t)>& fn);
-
  private:
-  // One parallel_for/run_per_worker call: `shards` shards, claimed in index
-  // order. Shared with its helper tasks, which may start after the call has
-  // returned and then find nothing left to claim. Guarded by mu_.
+  // One parallel_for call: `shards` shards, claimed in index order. Shared
+  // with its helper tasks, which may start after the call has returned and
+  // then find nothing left to claim. Guarded by mu_.
   struct Batch {
     const std::function<void(std::size_t)>* shard_fn = nullptr;
     std::size_t shards = 0;
@@ -63,8 +58,6 @@ class ThreadPool {
   void worker_loop();
   // Claims and runs shards of `batch` until none is left unclaimed.
   void claim_and_run(Batch& batch);
-  void run_batch(std::size_t shards,
-                 const std::function<void(std::size_t)>& shard_fn);
 
   std::vector<std::thread> workers_;
   std::queue<std::packaged_task<void()>> tasks_;

@@ -37,8 +37,12 @@ MigratorPool::Grant MigratorPool::begin_burst(ClientId client) {
       ++contending;
     }
   }
-  const double share = static_cast<double>(pool_.size()) *
-                       self.stats.weight / weight_sum;
+  // Alone, the share is the whole pool: w/w can round below 1 in floating
+  // point, and the floor would then cost a lone client a thread.
+  const double share =
+      contending == 1 ? static_cast<double>(pool_.size())
+                      : static_cast<double>(pool_.size()) * self.stats.weight /
+                            weight_sum;
   Grant grant;
   grant.threads = std::clamp<std::uint32_t>(
       static_cast<std::uint32_t>(share), 1, self.stats.requested_threads);

@@ -1,12 +1,11 @@
-// Host-level shared migrator pool (multi-VM protection).
+// Migrator pool: the worker threads every replication engine runs its
+// checkpoint bursts and seeding on.
 //
-// Each ReplicationEngine used to own a private ThreadPool sized to its
-// configured checkpoint_threads, so a host protecting N VMs silently
-// oversubscribed its migrator cores N-fold: every engine planned its pause
-// as if it had the whole machine. The MigratorPool makes that contention
-// explicit and *scheduled* — one real worker pool per primary host, shared
-// by all engines, with per-engine fair-share admission and tagged work
-// accounting.
+// Shared per primary host (multi-VM protection), it makes the contention of
+// N engines on one host's migrator cores explicit and *scheduled*: one real
+// worker pool, per-engine fair-share admission and tagged work accounting.
+// A standalone engine owns a pool of its own, on which it is the only
+// client.
 //
 // Admission model (virtual time, deterministic): a checkpoint burst asks for
 // a thread grant at its start. The grant is the client's weighted fair share
@@ -65,7 +64,8 @@ class MigratorPool {
   //   clamp(floor(workers * w_self / sum of busy clients' weights), 1,
   //         requested_threads)
   // where "busy" means a previously committed burst's window still covers
-  // the current virtual time.
+  // the current virtual time. A client alone at admission gets
+  // min(workers, requested_threads) at any weight.
   [[nodiscard]] Grant begin_burst(ClientId client);
 
   // Marks the client busy for `busy_for` from now (the pause plus any

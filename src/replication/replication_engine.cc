@@ -57,12 +57,6 @@ Status validate_replication_config(const ReplicationConfig& config) {
     return Status::invalid_argument(
         "ReplicationConfig: flow_weight must be positive");
   }
-  if (config.compress_pages && config.encoders.any()) {
-    return Status::invalid_argument(
-        "ReplicationConfig: compress_pages and content-aware encoders are "
-        "mutually exclusive (the whole-stream compression model would "
-        "double-count the encoder's savings)");
-  }
   if (config.replica_max_wire_version > wire::kWireVersionEncoded) {
     return Status::invalid_argument(
         "ReplicationConfig: replica_max_wire_version exceeds the highest "
@@ -75,7 +69,7 @@ namespace {
 
 // Fail-fast validation, run in the constructor's init list *before* any
 // member that consumes the config is built (a zero thread count would
-// otherwise reach the ThreadPool constructor first).
+// otherwise reach the MigratorPool constructor first).
 ReplicationConfig validated(ReplicationConfig config) {
   if (const Status s = validate_replication_config(config); !s.ok()) {
     throw std::invalid_argument(std::string(s.message()));
@@ -101,6 +95,24 @@ std::uint64_t probe_token_for(std::string_view name) {
   return h;
 }
 
+// Sectors of `want` whose stamp `have` lacks or disagrees with: what a
+// replica disk must re-receive to match the primary's mirror.
+std::uint64_t count_divergent_sectors(const hv::VirtualDisk& want,
+                                      const hv::VirtualDisk& have) {
+  const auto want_stamps = want.sorted_stamps();
+  const auto have_stamps = have.sorted_stamps();
+  std::uint64_t divergent = 0;
+  std::size_t i = 0;
+  for (const auto& [sector, stamp] : want_stamps) {
+    while (i < have_stamps.size() && have_stamps[i].first < sector) ++i;
+    const bool match = i < have_stamps.size() &&
+                       have_stamps[i].first == sector &&
+                       have_stamps[i].second == stamp;
+    if (!match) ++divergent;
+  }
+  return divergent;
+}
+
 }  // namespace
 
 ReplicationEngine::ReplicationEngine(sim::Simulation& simulation,
@@ -114,12 +126,10 @@ ReplicationEngine::ReplicationEngine(sim::Simulation& simulation,
       config_(validated(std::move(config))),
       env_(env),
       model_(config_.time_model),
-      pool_(env_.migrator_pool != nullptr
-                ? nullptr
-                : std::make_unique<common::ThreadPool>(
-                      config_.mode == EngineMode::kRemus
-                          ? 1
-                          : config_.checkpoint_threads)),
+      owned_pool_(env_.migrator_pool == nullptr
+                      ? std::make_unique<MigratorPool>(simulation, threads())
+                      : nullptr),
+      pool_(owned_pool_ != nullptr ? *owned_pool_ : *env_.migrator_pool),
       period_(config_.period),
       outbound_(fabric) {
   if (config_.mode == EngineMode::kRemus &&
@@ -197,11 +207,6 @@ std::uint32_t ReplicationEngine::threads() const {
   return config_.mode == EngineMode::kRemus ? 1 : config_.checkpoint_threads;
 }
 
-common::ThreadPool& ReplicationEngine::worker_pool() {
-  return env_.migrator_pool != nullptr ? env_.migrator_pool->workers()
-                                       : *pool_;
-}
-
 void ReplicationEngine::add_observer(EngineObserver* observer) {
   if (observer != nullptr) observers_.push_back(observer);
 }
@@ -215,13 +220,11 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
   }
   vm_ = &vm;
 
-  // Fleet scheduling: enroll this engine with the host-shared migrator pool
-  // and the secondary's ingest-link arbiter. Both are per-protection, so a
+  // Fleet scheduling: enroll this engine with its migrator pool and the
+  // secondary's ingest-link arbiter. Both are per-protection, so a
   // re-protected generation registers afresh.
-  if (env_.migrator_pool != nullptr) {
-    pool_client_ = env_.migrator_pool->register_client(
-        vm.spec().name, threads(), config_.flow_weight);
-  }
+  pool_client_ =
+      pool_.register_client(vm.spec().name, threads(), config_.flow_weight);
   if (env_.link_arbiter != nullptr) {
     arb_flow_ =
         env_.link_arbiter->register_flow(vm.spec().name, config_.flow_weight);
@@ -324,10 +327,7 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
     sim_.cancel(seed_deadline_event_);
     seeder_.reset();  // the destructor cancels the in-flight seeding event
     staging_.reset();
-    if (primary_.alive() && vm_ != nullptr &&
-        vm_->state() == hv::VmState::kPaused) {
-      primary_.hypervisor().resume(*vm_);
-    }
+    resume_guest();
     schedule_seed_retry("secondary failed during seed");
   });
   last_heartbeat_rx_ = sim_.now();
@@ -363,8 +363,7 @@ void ReplicationEngine::begin_seed_attempt() {
   seeder_.reset();  // cancel any stale in-flight seeding event first
   encoder_.reset();  // references describe the old staging image, if any
   delta_seeded_ = false;
-  staging_ = std::make_unique<ReplicaStaging>(vm_->spec(), threads());
-  staging_->set_advertised_wire_version(config_.replica_max_wire_version);
+  reset_staging();
   // Delta re-seed (cascading re-protection): when the durable store already
   // holds a snapshot+WAL — written by a previous engine generation whose
   // secondary is now this engine's secondary — the replica recovers locally
@@ -375,7 +374,7 @@ void ReplicationEngine::begin_seed_attempt() {
   if (env_.durable_store != nullptr) {
     staging_->attach_durable_store(env_.durable_store);
   }
-  seeder_ = std::make_unique<Seeder>(sim_, model_, worker_pool(),
+  seeder_ = std::make_unique<Seeder>(sim_, model_, pool_.workers(),
                                      primary_.hypervisor(), *vm_, *staging_,
                                      config_.seed, config_.tracer);
   if (config_.ft.seed_attempt_timeout > sim::Duration::zero()) {
@@ -392,10 +391,7 @@ void ReplicationEngine::begin_seed_attempt() {
 void ReplicationEngine::on_seed_attempt_timeout() {
   if (seeded_) return;
   seeder_.reset();  // the destructor cancels the in-flight seeding event
-  if (primary_.alive() && vm_ != nullptr &&
-      vm_->state() == hv::VmState::kPaused) {
-    primary_.hypervisor().resume(*vm_);
-  }
+  resume_guest();
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "seed.timeout", "seed",
                             {{"attempt", seed_attempt_}});
@@ -451,24 +447,12 @@ void ReplicationEngine::on_seeded(const SeedResult& result) {
 
   // Baseline the engine-side digest mirror: should the secondary crash, the
   // rejoin diff compares the recovered image against these references.
-  if (env_.durable_store != nullptr) {
-    committed_digest_mirror_.resize(staging_->region_count());
-    for (std::uint32_t r = 0; r < staging_->region_count(); ++r) {
-      committed_digest_mirror_[r] = staging_->committed_region_digest(r);
-    }
-  }
+  if (env_.durable_store != nullptr) mirror_committed_digests();
 
   // Baseline the encoder references now, while the VM is paused and the
   // replica's committed image is byte-identical to primary memory: every
-  // page has a valid committed reference from epoch 1 on. A replica pinned
-  // below wire v1 suppresses the stage entirely — encoded bytes can never
-  // travel in v0 frames, so the stream stays raw instead of NACK-looping.
-  if (config_.encoders.any() &&
-      staging_->advertised_wire_version() >= wire::kWireVersionEncoded) {
-    encoder_ = std::make_unique<EncoderPipeline>(config_.encoders,
-                                                 vm_->memory().pages());
-    encoder_->baseline(vm_->memory());
-  }
+  // page has a valid committed reference from epoch 1 on.
+  baseline_encoder();
 
   sim_.schedule_after(state_cost, [this] { commit_initial_checkpoint(); },
                       "seed-state");
@@ -521,8 +505,7 @@ bool ReplicationEngine::try_delta_seed() {
   if (!result.ok()) {
     // Nothing usable in the store (or a damaged snapshot). Rebuild staging so
     // the full-seed path never sees a half-populated image.
-    staging_ = std::make_unique<ReplicaStaging>(vm_->spec(), threads());
-    staging_->set_advertised_wire_version(config_.replica_max_wire_version);
+    reset_staging();
     return false;
   }
   stats_.last_recovery = *result;
@@ -552,18 +535,8 @@ bool ReplicationEngine::try_delta_seed() {
     ++divergent;
   }
   const hv::VirtualDisk& primary_disk = primary_.hypervisor().disk(*vm_);
-  std::uint64_t divergent_sectors = 0;
-  {
-    const auto want = primary_disk.sorted_stamps();
-    const auto have = staging_->disk().sorted_stamps();
-    std::size_t i = 0;
-    for (const auto& [sector, stamp] : want) {
-      while (i < have.size() && have[i].first < sector) ++i;
-      const bool match = i < have.size() && have[i].first == sector &&
-                         have[i].second == stamp;
-      if (!match) ++divergent_sectors;
-    }
-  }
+  const std::uint64_t divergent_sectors =
+      count_divergent_sectors(primary_disk, staging_->disk());
   staging_->seed_disk(primary_disk);
   epoch_disk_writes_.clear();  // contained in the just-mirrored disk image
 
@@ -575,8 +548,7 @@ bool ReplicationEngine::try_delta_seed() {
   const sim::Duration state_cost = snapshot_state_and_program();
   if (const Expected<std::uint64_t> committed = staging_->commit();
       !committed.ok()) {
-    staging_ = std::make_unique<ReplicaStaging>(vm_->spec(), threads());
-    staging_->set_advertised_wire_version(config_.replica_max_wire_version);
+    reset_staging();
     if (was_running && vm_->state() == hv::VmState::kPaused) {
       primary_.hypervisor().resume(*vm_);
     }
@@ -587,15 +559,8 @@ bool ReplicationEngine::try_delta_seed() {
   env_.durable_store->write_snapshot(staging_->committed_epoch(),
                                      staging_->memory(), staging_->disk());
 
-  committed_digest_mirror_.resize(staging_->region_count());
-  for (std::uint32_t r = 0; r < staging_->region_count(); ++r) {
-    committed_digest_mirror_[r] = staging_->committed_region_digest(r);
-  }
-  if (config_.encoders.any() &&
-      staging_->advertised_wire_version() >= wire::kWireVersionEncoded) {
-    encoder_ = std::make_unique<EncoderPipeline>(config_.encoders, pages);
-    encoder_->baseline(vm_->memory());
-  }
+  mirror_committed_digests();
+  baseline_encoder();
 
   // Modelled cost: local snapshot+WAL replay, the both-ways page-digest
   // exchange over the whole image (8 bytes a page each way), the divergent
@@ -631,6 +596,38 @@ bool ReplicationEngine::try_delta_seed() {
   sim_.schedule_after(cost + state_cost,
                       [this] { commit_initial_checkpoint(); }, "seed-delta");
   return true;
+}
+
+void ReplicationEngine::resume_guest() {
+  if (primary_.alive() && vm_ != nullptr &&
+      vm_->state() == hv::VmState::kPaused) {
+    primary_.hypervisor().resume(*vm_);
+  }
+}
+
+void ReplicationEngine::reset_staging() {
+  staging_ = std::make_unique<ReplicaStaging>(vm_->spec(), threads());
+  staging_->set_advertised_wire_version(config_.replica_max_wire_version);
+}
+
+// A replica pinned below wire v1 suppresses the stage entirely: encoded
+// bytes can never travel in v0 frames, so the stream stays raw instead of
+// NACK-looping.
+void ReplicationEngine::baseline_encoder() {
+  if (!config_.encoders.any() ||
+      staging_->advertised_wire_version() < wire::kWireVersionEncoded) {
+    return;
+  }
+  encoder_ = std::make_unique<EncoderPipeline>(config_.encoders,
+                                               vm_->memory().pages());
+  encoder_->baseline(vm_->memory());
+}
+
+void ReplicationEngine::mirror_committed_digests() {
+  committed_digest_mirror_.resize(staging_->region_count());
+  for (std::uint32_t r = 0; r < staging_->region_count(); ++r) {
+    committed_digest_mirror_[r] = staging_->committed_region_digest(r);
+  }
 }
 
 sim::Duration ReplicationEngine::snapshot_state_and_program() {
@@ -747,7 +744,22 @@ void ReplicationEngine::abort_staged_epoch() {
   if (encoder_ != nullptr) encoder_->abort_epoch();
 }
 
-void ReplicationEngine::note_epoch_abort(const char* reason) {
+void ReplicationEngine::abort_epoch(const char* reason,
+                                    const EpochInFlight* paused,
+                                    std::optional<sim::Duration> hold) {
+  abort_staged_epoch();
+  restore_aborted_epoch();
+  if (paused != nullptr) {
+    const auto resume = [this, was_running = paused->was_running] {
+      if (was_running && !failover_in_progress_) resume_guest();
+    };
+    if (hold.has_value()) {
+      checkpoint_finish_event_ =
+          sim_.schedule_after(*hold, resume, "checkpoint-abort");
+    } else {
+      resume();
+    }
+  }
   ++stats_.epochs_aborted;
   ++abort_streak_;
   if (m_epochs_aborted_ != nullptr) m_epochs_aborted_->add(1);
@@ -781,70 +793,98 @@ void ReplicationEngine::run_checkpoint() {
   const net::LinkQuality link =
       fabric_.link_quality(primary_.ic_node(), secondary_.ic_node());
   if (!link.connected || link.down) {
-    note_epoch_abort("interconnect down");
+    abort_epoch("interconnect down");
     return;
   }
 
-  const sim::Duration period_used = sim_.now() - last_checkpoint_done_;
-  const std::uint64_t epoch = current_epoch_;
+  EpochInFlight epoch;
+  epoch.epoch = current_epoch_;
+  epoch.period_used = sim_.now() - last_checkpoint_done_;
+  epoch.was_running = vm_->state() == hv::VmState::kRunning;
+  if (epoch.was_running) primary_.hypervisor().pause(*vm_);
 
-  // (1) Pause the VM.
-  const bool was_running = vm_->state() == hv::VmState::kRunning;
-  if (was_running) primary_.hypervisor().pause(*vm_);
+  EpochCapture capture = capture_epoch();
+  const EpochEncoding encoding = encode_epoch(capture);
+  seal_epoch(capture);
+  const EpochTransfer transfer = transmit_epoch(capture.frames);
+  const EpochCost cost = price_epoch(capture, encoding, transfer, link);
+  epoch.pages = capture.pages;
+  epoch.pause = cost.pause;
+  epoch.background = cost.background;
 
-  // (2) Capture this epoch's dirty set and copy it into staging.
-  //     HERE: disjoint 2 MiB regions round-robin across migrator threads;
-  //     Remus: one thread walks the whole bitmap.
+  // Integrity fallback: retransmission rounds exhausted with regions still
+  // failing verification — this epoch can never commit. Fold it back into
+  // the running epoch and retry with backoff (output commit holds: the
+  // epoch's buffered output is released only by a later successful commit).
+  if (transfer.retransmits_exhausted) {
+    pool_.commit_burst(pool_client_, cost.pause);
+    abort_epoch("retransmit budget exhausted with corrupt regions", &epoch,
+                cost.pause);
+    return;
+  }
+  // Abort-and-retry: a transfer that cannot land within the deadline would
+  // stretch the pause unboundedly (exactly the wedge HERE's watchdog would
+  // misread as a dead primary). Give up on this epoch, resume the guest
+  // after the scan it already paid for, and retry with backoff.
+  if (config_.ft.checkpoint_timeout > sim::Duration::zero() &&
+      cost.pause + cost.background > config_.ft.checkpoint_timeout) {
+    const sim::Duration hold = cost.constants + cost.scan;
+    pool_.commit_burst(pool_client_, hold);
+    abort_epoch("projected transfer exceeds checkpoint_timeout", &epoch,
+                hold);
+    return;
+  }
+
+  // The burst's busy window covers the whole epoch transfer — pause plus any
+  // speculative background push — so overlapping engines see the contention.
+  pool_.commit_burst(pool_client_, cost.pause + cost.background);
+  record_epoch_pause(epoch.epoch, capture, encoding, cost);
+  checkpoint_finish_event_ = sim_.schedule_after(
+      cost.pause, [this, epoch] { end_epoch_pause(epoch); },
+      "checkpoint-done");
+}
+
+ReplicationEngine::EpochCapture ReplicationEngine::capture_epoch() {
+  // HERE: disjoint 2 MiB regions round-robin across migrator threads;
+  // Remus: one thread walks the whole bitmap.
   common::DirtyBitmap& scratch = primary_.hypervisor().scratch_bitmap(*vm_);
   primary_.hypervisor().dirty_bitmap(*vm_)->exchange_into(scratch);
 
-  std::uint32_t p = threads();
-  // Shared migrator pool: admission may grant fewer threads than requested
-  // when other engines' bursts cover this instant. The grant shapes this
-  // epoch's parallelism (and therefore its copy/scan cost), which Algorithm 1
-  // then feeds back into the VM's period.
-  if (env_.migrator_pool != nullptr) {
-    const MigratorPool::Grant grant =
-        env_.migrator_pool->begin_burst(pool_client_);
-    p = std::min(p, grant.threads);
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(sim_.now(), "pool.grant", "ckpt",
-                              {{"epoch", current_epoch_},
-                               {"threads", p},
-                               {"contending", grant.contending}});
-    }
+  // Admission may grant fewer threads than requested when other engines'
+  // bursts on a shared pool cover this instant. The grant shapes this
+  // epoch's parallelism (and therefore its copy/scan cost), which
+  // Algorithm 1 then feeds back into the VM's period.
+  const MigratorPool::Grant grant = pool_.begin_burst(pool_client_);
+  EpochCapture capture;
+  capture.threads = grant.threads;
+  const std::uint32_t p = capture.threads;
+  if (config_.tracer != nullptr) {
+    config_.tracer->instant(sim_.now(), "pool.grant", "ckpt",
+                            {{"epoch", current_epoch_},
+                             {"threads", p},
+                             {"contending", grant.contending}});
   }
   const std::uint64_t pages = vm_->memory().pages();
   const std::uint64_t regions = (pages + kPagesPerRegion - 1) / kPagesPerRegion;
 
   staging_->begin_epoch(current_epoch_);
-  std::vector<std::uint64_t> per_worker_pages(p, 0);
+  capture.worker_pages.assign(p, 0);
   std::vector<std::vector<common::Gfn>> found(p);
   std::vector<std::vector<common::Gfn>> region_gfns(regions);
-  const auto capture_shard = [&](std::size_t w) {
+  pool_.run_shards(pool_client_, p, [&](std::uint32_t w) {
     for (std::uint64_t r = w; r < regions; r += p) {
       const common::Gfn first = r * kPagesPerRegion;
-      const common::Gfn last = std::min<common::Gfn>(first + kPagesPerRegion, pages);
+      const common::Gfn last =
+          std::min<common::Gfn>(first + kPagesPerRegion, pages);
       scratch.collect(first, last, region_gfns[r]);
       found[w].insert(found[w].end(), region_gfns[r].begin(),
                       region_gfns[r].end());
     }
-    per_worker_pages[w] = found[w].size();
-  };
-  if (env_.migrator_pool != nullptr) {
-    env_.migrator_pool->run_shards(
-        pool_client_, p, [&](std::uint32_t w) { capture_shard(w); });
-  } else {
-    pool_->run_per_worker([&](std::size_t w) {
-      if (w < p) capture_shard(w);
-    });
-  }
-
-  std::uint64_t captured = 0;
-  std::uint64_t max_worker = 0;
-  for (const std::uint64_t n : per_worker_pages) {
-    captured += n;
-    max_worker = std::max(max_worker, n);
+    capture.worker_pages[w] = found[w].size();
+  });
+  for (const std::uint64_t n : capture.worker_pages) {
+    capture.pages += n;
+    capture.max_worker_pages = std::max(capture.max_worker_pages, n);
   }
 
   // Keep the captured epoch restorable until it commits: an abort (or a
@@ -857,365 +897,112 @@ void ReplicationEngine::run_checkpoint() {
   last_epoch_disk_writes_ = epoch_disk_writes_;
 
   // Frame the epoch for the wire: one frame per dirty 2 MiB region, sequence
-  // numbers in ascending region order, each sealed with a CRC32C over its
-  // (possibly encoded) payload, the whole set committed to by the epoch
-  // header's rolling digest. The replica verifies each frame on arrival and
-  // will refuse the commit unless everything checks out. With encoders the
-  // stream runs at the negotiated version — the primary proposes
-  // min(capability, the replica's advertised maximum); without, version 0 is
-  // bit-identical to the un-encoded wire.
-  const std::uint64_t scale = vm_->spec().model_scale;
-  const std::uint16_t wire_version =
+  // numbers in ascending region order. With encoders the stream runs at the
+  // negotiated version — the primary proposes min(capability, the replica's
+  // advertised maximum); without, version 0 is bit-identical to the
+  // un-encoded wire.
+  capture.wire_version =
       encoder_ != nullptr
           ? std::min<std::uint16_t>(wire::kWireVersionEncoded,
                                     staging_->advertised_wire_version())
           : wire::kWireVersionRaw;
-  std::vector<wire::RegionFrame> frames;
   for (std::uint64_t r = 0; r < regions; ++r) {
     if (region_gfns[r].empty()) continue;
     wire::RegionFrame f;
     f.epoch = current_epoch_;
-    f.seq = frames.size();
+    f.seq = capture.frames.size();
     f.region = static_cast<std::uint32_t>(r);
-    f.version = wire_version;
+    f.version = capture.wire_version;
     f.gfns = std::move(region_gfns[r]);
-    frames.push_back(std::move(f));
+    capture.frames.push_back(std::move(f));
   }
-  std::uint64_t encoded_bytes = 0;      // encoded payload, real bytes
-  std::uint64_t raw_pages_total = 0;    // pages that fell back to full copy
-  sim::Duration worker_cpu_critical{};  // slowest shard: raw copies + encode
-  sim::Duration encode_cpu_total{};     // all workers' encode cycles
+  return capture;
+}
+
+ReplicationEngine::EpochEncoding ReplicationEngine::encode_epoch(
+    EpochCapture& capture) {
+  const std::uint64_t scale = vm_->spec().model_scale;
+  const std::uint32_t p = capture.threads;
+  EpochEncoding encoding;
   if (encoder_ == nullptr) {
-    for (wire::RegionFrame& f : frames) {
+    for (wire::RegionFrame& f : capture.frames) {
       f.bytes.reserve(f.gfns.size() * common::kPageSize);
       for (const common::Gfn g : f.gfns) {
         const auto page = vm_->memory().page(g);
         f.bytes.insert(f.bytes.end(), page.begin(), page.end());
       }
     }
-  } else {
-    // Encode shards: worker w owns frames w, w+p, ... (disjoint), granted
-    // pool work tagged kEncode so fleet accounting sees the stage. The
-    // critical path is the slowest worker; the total is the §8.7 CPU work.
-    const EncodeStats enc_before = encoder_->stats();
-    std::vector<EncodeWork> enc_work(p);
-    const auto encode_shard = [&](std::uint32_t w) {
-      for (std::size_t i = w; i < frames.size(); i += p) {
-        encoder_->encode_region(vm_->memory(), frames[i], enc_work[w]);
-      }
-    };
-    if (env_.migrator_pool != nullptr) {
-      env_.migrator_pool->run_shards(pool_client_, p, encode_shard,
-                                     MigratorPool::WorkKind::kEncode);
-    } else {
-      pool_->run_per_worker([&](std::size_t w) {
-        if (w < p) encode_shard(static_cast<std::uint32_t>(w));
-      });
-    }
-    for (const EncodeWork& w : enc_work) {
-      const sim::Duration enc_cost = model_.encode_cpu(
-          w.zero_scans * scale, w.hashes * scale, w.delta_pages * scale);
-      worker_cpu_critical =
-          std::max(worker_cpu_critical,
-                   model_.encoded_shard_cpu(w.raw_pages * scale, p, enc_cost));
-      encode_cpu_total += enc_cost;
-      raw_pages_total += w.raw_pages;
-      encoded_bytes += w.bytes_out;
-    }
-    const EncodeStats enc_now = encoder_->stats();
-    if (m_enc_bytes_in_ != nullptr) {
-      m_enc_bytes_in_->add(enc_now.bytes_in - enc_before.bytes_in);
-      m_enc_bytes_out_->add(enc_now.bytes_out - enc_before.bytes_out);
-      m_enc_pages_zero_->add(enc_now.pages_zero - enc_before.pages_zero);
-      m_enc_pages_delta_->add(enc_now.pages_delta - enc_before.pages_delta);
-      m_enc_pages_skipped_->add(enc_now.pages_skipped -
-                                enc_before.pages_skipped);
-    }
-    if (config_.tracer != nullptr && captured > 0) {
-      config_.tracer->instant(
-          sim_.now(), "epoch.encode", "ckpt",
-          {{"epoch", current_epoch_},
-           {"pages_in", enc_now.pages_in - enc_before.pages_in},
-           {"pages_raw", enc_now.pages_raw - enc_before.pages_raw},
-           {"pages_zero", enc_now.pages_zero - enc_before.pages_zero},
-           {"pages_delta", enc_now.pages_delta - enc_before.pages_delta},
-           {"pages_skipped",
-            enc_now.pages_skipped - enc_before.pages_skipped},
-           {"bytes_in", enc_now.bytes_in - enc_before.bytes_in},
-           {"bytes_out", enc_now.bytes_out - enc_before.bytes_out}});
-    }
+    encoding.payload_bytes = common::pages_to_bytes(capture.pages);
+    encoding.raw_pages = capture.pages;
+    encoding.critical_cpu =
+        model_.shard_copy_cpu(capture.max_worker_pages * scale, p);
+    return encoding;
   }
-  // Seal and fold serially, in seq order (the rolling digest is
-  // order-sensitive by design).
+  // Encode shards: worker w owns frames w, w+p, ... (disjoint), granted
+  // pool work tagged kEncode so fleet accounting sees the stage. The
+  // critical path is the slowest worker; the total is the §8.7 CPU work.
+  std::vector<wire::RegionFrame>& frames = capture.frames;
+  const EncodeStats before = encoder_->stats();
+  std::vector<EncodeWork> work(p);
+  pool_.run_shards(
+      pool_client_, p,
+      [&](std::uint32_t w) {
+        for (std::size_t i = w; i < frames.size(); i += p) {
+          encoder_->encode_region(vm_->memory(), frames[i], work[w]);
+        }
+      },
+      MigratorPool::WorkKind::kEncode);
+  for (const EncodeWork& w : work) {
+    const sim::Duration cpu = model_.encode_cpu(
+        w.zero_scans * scale, w.hashes * scale, w.delta_pages * scale);
+    encoding.critical_cpu = std::max(
+        encoding.critical_cpu, model_.shard_copy_cpu(w.raw_pages * scale, p, cpu));
+    encoding.encode_cpu += cpu;
+    encoding.raw_pages += w.raw_pages;
+    encoding.payload_bytes += w.bytes_out;
+  }
+  const EncodeStats now = encoder_->stats();
+  if (m_enc_bytes_in_ != nullptr) {
+    m_enc_bytes_in_->add(now.bytes_in - before.bytes_in);
+    m_enc_bytes_out_->add(now.bytes_out - before.bytes_out);
+    m_enc_pages_zero_->add(now.pages_zero - before.pages_zero);
+    m_enc_pages_delta_->add(now.pages_delta - before.pages_delta);
+    m_enc_pages_skipped_->add(now.pages_skipped - before.pages_skipped);
+  }
+  if (config_.tracer != nullptr && capture.pages > 0) {
+    config_.tracer->instant(
+        sim_.now(), "epoch.encode", "ckpt",
+        {{"epoch", current_epoch_},
+         {"pages_in", now.pages_in - before.pages_in},
+         {"pages_raw", now.pages_raw - before.pages_raw},
+         {"pages_zero", now.pages_zero - before.pages_zero},
+         {"pages_delta", now.pages_delta - before.pages_delta},
+         {"pages_skipped", now.pages_skipped - before.pages_skipped},
+         {"bytes_in", now.bytes_in - before.bytes_in},
+         {"bytes_out", now.bytes_out - before.bytes_out}});
+  }
+  return encoding;
+}
+
+// Each frame is sealed with a CRC32C over its (possibly encoded) payload and
+// the whole set committed to by the epoch header's rolling digest. The
+// replica verifies each frame on arrival and will refuse the commit unless
+// everything checks out. Sealing and folding run serially, in seq order: the
+// rolling digest is order-sensitive by design.
+void ReplicationEngine::seal_epoch(EpochCapture& capture) {
   std::uint64_t digest = wire::digest_init();
-  for (wire::RegionFrame& f : frames) {
+  for (wire::RegionFrame& f : capture.frames) {
     wire::seal_frame(f);
     digest = wire::digest_fold(digest, f);
   }
   staging_->expect_epoch({current_epoch_,
-                          static_cast<std::uint64_t>(frames.size()), digest,
-                          wire_version});
-
-  bool retransmits_exhausted = false;
-  const std::uint64_t retransmit_bytes =
-      transmit_epoch_frames(frames, retransmits_exhausted);
-
-  // (3) The epoch's mirrored disk writes travel with the checkpoint.
-  std::uint64_t disk_bytes = 0;
-  for (const auto& w : epoch_disk_writes_) disk_bytes += w.sectors * 512ULL;
-  staging_->buffer_disk_writes(std::move(epoch_disk_writes_));
-  epoch_disk_writes_.clear();
-
-  // (4) vCPU + device states, translated when heterogeneous. Disk-mirror
-  // bytes ride along; note they are *not* multiplied by model_scale — guest
-  // programs issue disk writes at their modelled op rates, so the volume is
-  // already in model units (unlike page counts, which are real and scaled).
-  // A slowed-down primary disk (injected fault) stretches the mirror read.
-  sim::Duration disk_cost = model_.wire_time(disk_bytes);
-  const double disk_slow = primary_.hypervisor().disk(*vm_).slowdown();
-  if (disk_slow > 1.0) disk_cost = scaled(disk_cost, disk_slow);
-  sim::Duration state_cost = snapshot_state_and_program() + disk_cost;
-
-  // Pause duration t = f(N)/P + C (Eq. 3/4). Under speculative CoW the
-  // dirty set is only duplicated locally during the pause; the network push
-  // runs in the background after the VM resumes. With encoders the wire term
-  // serializes the *encoded* bytes and the CPU term pays the encode cycles —
-  // the observed pause is the real cost of the cheaper stream, which is what
-  // PeriodManager/Algorithm 1 re-optimise T and P against.
-  const sim::Duration scan_cost = model_.scan(pages * scale, p);
-  sim::Duration copy_cost =
-      encoder_ != nullptr
-          ? model_.checkpoint_copy_encoded(worker_cpu_critical,
-                                           encoded_bytes * scale)
-          : model_.checkpoint_copy(max_worker * scale, captured * scale, p,
-                                   config_.compress_pages);
-  // Selective retransmissions re-ship their regions' payloads (as sealed,
-  // i.e. encoded when encoders are on): the repair happens inside the
-  // epoch's transfer window, inflating it.
-  if (retransmit_bytes > 0) {
-    copy_cost += model_.wire_time(retransmit_bytes * scale);
-  }
-  // Impaired interconnect: lost checkpoint packets retransmit (1/(1-loss))
-  // and a throttled link stretches serialization (1/bandwidth_factor). The
-  // guard keeps fault-free runs bit-identical to the unimpaired engine.
-  double net_penalty = 1.0;
-  if (link.loss > 0.0) net_penalty /= (1.0 - link.loss);
-  if (link.bandwidth_factor < 1.0) net_penalty /= link.bandwidth_factor;
-  if (net_penalty > 1.0) {
-    copy_cost = scaled(copy_cost, net_penalty);
-    state_cost = scaled(state_cost, net_penalty);
-  }
-  // Shared-link arbitration: reserve this epoch's wire bytes on the
-  // secondary's ingest link. Contention shows up as actual > ideal; the
-  // difference stretches the transfer exactly like a slower dedicated wire
-  // would, so it folds into copy_cost (and from there into the pause or the
-  // background push). Uncontended grants have actual == ideal: zero stretch,
-  // byte-identical to the dedicated-wire model.
-  if (env_.link_arbiter != nullptr) {
-    double wire_raw;
-    if (encoder_ != nullptr) {
-      wire_raw = static_cast<double>(encoded_bytes * scale);
-    } else {
-      wire_raw = static_cast<double>(common::pages_to_bytes(captured * scale));
-      if (config_.compress_pages) {
-        wire_raw *= model_.config().compression_ratio;
-      }
-    }
-    const auto wire_bytes =
-        static_cast<std::uint64_t>(wire_raw) + disk_bytes;
-    const net::LinkArbiter::Reservation res =
-        env_.link_arbiter->request(arb_flow_, wire_bytes);
-    if (res.actual > res.ideal) copy_cost += res.actual - res.ideal;
-  }
-  // Durable ack path: the replica WAL-appends the epoch before acking, so
-  // the local NVMe append rides the commit's critical path. Local to the
-  // secondary — deliberately outside the net_penalty scaling above.
-  if (env_.durable_store != nullptr) {
-    const std::uint64_t durable_bytes =
-        (encoder_ != nullptr ? encoded_bytes * scale
-                             : common::pages_to_bytes(captured * scale)) +
-        disk_bytes;
-    state_cost += model_.durable_append(durable_bytes);
-  }
-  const sim::Duration constants =
-      model_.config().checkpoint_setup +
-      primary_.hypervisor().cost_profile().vm_pause +
-      primary_.hypervisor().cost_profile().vm_resume;
-  sim::Duration pause;
-  sim::Duration background{};
-  if (config_.speculative_cow) {
-    pause = constants + scan_cost + model_.cow_snapshot(max_worker * scale, p);
-    background = copy_cost + state_cost;
-    // The CoW buffer doubles the epoch's resident footprint on the primary.
-    primary_.account_replication_memory(
-        common::pages_to_bytes(captured * scale));
-  } else {
-    pause = constants + scan_cost + copy_cost + state_cost;
-  }
-  // An injected migrator stall holds the VM paused for its duration.
-  if (pending_stall_ > sim::Duration::zero()) {
-    pause += pending_stall_;
-    pending_stall_ = {};
-  }
-
-  // Integrity fallback: retransmission rounds exhausted with regions still
-  // failing verification — this epoch can never commit. Fold it back into
-  // the running epoch and retry with backoff (output commit holds: the
-  // epoch's buffered output is released only by a later successful commit).
-  if (retransmits_exhausted) {
-    if (env_.migrator_pool != nullptr) {
-      env_.migrator_pool->commit_burst(pool_client_, pause);
-    }
-    abort_staged_epoch();
-    restore_aborted_epoch();
-    checkpoint_finish_event_ = sim_.schedule_after(
-        pause,
-        [this, was_running] {
-          if (!primary_.alive() || failover_in_progress_) return;
-          if (was_running && vm_->state() == hv::VmState::kPaused) {
-            primary_.hypervisor().resume(*vm_);
-          }
-        },
-        "checkpoint-abort");
-    note_epoch_abort("retransmit budget exhausted with corrupt regions");
-    return;
-  }
-
-  // Abort-and-retry: a transfer that cannot land within the deadline would
-  // stretch the pause unboundedly (exactly the wedge HERE's watchdog would
-  // misread as a dead primary). Give up on this epoch, resume the guest
-  // after the scan it already paid for, and retry with backoff.
-  if (config_.ft.checkpoint_timeout > sim::Duration::zero() &&
-      pause + background > config_.ft.checkpoint_timeout) {
-    abort_staged_epoch();
-    restore_aborted_epoch();
-    const sim::Duration abort_pause = constants + scan_cost;
-    if (env_.migrator_pool != nullptr) {
-      env_.migrator_pool->commit_burst(pool_client_, abort_pause);
-    }
-    checkpoint_finish_event_ = sim_.schedule_after(
-        abort_pause,
-        [this, was_running] {
-          if (!primary_.alive() || failover_in_progress_) return;
-          if (was_running && vm_->state() == hv::VmState::kPaused) {
-            primary_.hypervisor().resume(*vm_);
-          }
-        },
-        "checkpoint-abort");
-    note_epoch_abort("projected transfer exceeds checkpoint_timeout");
-    return;
-  }
-
-  // The burst's busy window covers the whole epoch transfer — pause plus any
-  // speculative background push — so overlapping engines see the contention.
-  if (env_.migrator_pool != nullptr) {
-    env_.migrator_pool->commit_burst(pool_client_, pause + background);
-  }
-
-  if (config_.tracer != nullptr) {
-    const sim::TimePoint pause_begin = sim_.now();
-    config_.tracer->complete(pause_begin, pause, "ckpt.pause", "ckpt", 0,
-                             {{"epoch", epoch},
-                              {"dirty_pages", captured * scale},
-                              {"threads", p}});
-    // One span per migrator thread, on its own tid (tid 0 is the
-    // coordinator). Worker w's share of the copy is proportional to its
-    // page count, so the span never outlasts the aggregate copy cost —
-    // which keeps spans on one tid disjoint across epochs.
-    const sim::TimePoint copy_begin =
-        pause_begin + primary_.hypervisor().cost_profile().vm_pause +
-        scan_cost;
-    for (std::uint32_t w = 0; w < p; ++w) {
-      if (per_worker_pages[w] == 0 || max_worker == 0) continue;
-      const auto share = static_cast<std::int64_t>(
-          static_cast<double>(copy_cost.count()) *
-          static_cast<double>(per_worker_pages[w]) /
-          static_cast<double>(max_worker));
-      config_.tracer->complete(copy_begin, sim::Duration{share},
-                               "migrator.copy", "ckpt", w + 1,
-                               {{"epoch", epoch},
-                                {"pages", per_worker_pages[w] * scale}});
-    }
-  }
-
-  // §8.7: CPU-seconds burnt by the replication threads (work, not makespan).
-  // The encoder's cycles are work too — every worker's, not just the
-  // critical path's. With encoders on, only the raw-fallback pages did the
-  // full stream copy; collapsed pages' cycles are in encode_cpu_total.
-  const double copy_eff = TimeModel::efficiency(model_.config().copy_eff, p);
-  const std::uint64_t copied_pages =
-      encoder_ != nullptr ? raw_pages_total : captured;
-  const sim::Duration cpu_work =
-      sim::Duration{static_cast<std::int64_t>(
-          static_cast<double>(model_.config().per_page_copy.count()) *
-          static_cast<double>(copied_pages * scale) / copy_eff)} +
-      scan_cost * static_cast<std::int64_t>(p) +
-      model_.config().checkpoint_setup + encode_cpu_total;
-  stats_.replication_cpu += cpu_work;
-  primary_.account_replication_cpu(cpu_work);
-  primary_.account_replication_memory(staging_->peak_buffered_bytes() * scale);
-
-  checkpoint_finish_event_ = sim_.schedule_after(
-      pause,
-      [this, epoch, captured, period_used, pause, was_running, background] {
-        if (!primary_.alive() || failover_in_progress_) {
-          // Host died while the checkpoint was in flight: the replica
-          // discards the partial epoch and will activate the previous one.
-          // (If this failover is later fenced, restore_aborted_epoch folds
-          // the capture back in.)
-          abort_staged_epoch();
-          return;
-        }
-        // Link died while the epoch was being pushed: abort before the new
-        // execution epoch opens, keeping buffered output in the current one.
-        const net::LinkQuality q =
-            fabric_.link_quality(primary_.ic_node(), secondary_.ic_node());
-        if (!q.connected || q.down) {
-          abort_staged_epoch();
-          restore_aborted_epoch();
-          if (was_running && vm_->state() == hv::VmState::kPaused) {
-            primary_.hypervisor().resume(*vm_);
-          }
-          note_epoch_abort("interconnect down at commit");
-          return;
-        }
-        // A new execution epoch starts the moment the VM resumes; output
-        // produced from here on must wait for the *next* commit.
-        ++current_epoch_;
-        if (background == sim::Duration{}) {
-          finish_checkpoint(epoch, captured, period_used, pause);
-          if (was_running) primary_.hypervisor().resume(*vm_);
-          return;
-        }
-        // Speculative CoW: resume now; commit (and release epoch N's
-        // output) only when the background transfer lands.
-        if (was_running) primary_.hypervisor().resume(*vm_);
-        checkpoint_finish_event_ = sim_.schedule_after(
-            background,
-            [this, epoch, captured, period_used, pause] {
-              if (!primary_.alive() || failover_in_progress_) {
-                abort_staged_epoch();
-                return;
-              }
-              const net::LinkQuality bq = fabric_.link_quality(
-                  primary_.ic_node(), secondary_.ic_node());
-              if (!bq.connected || bq.down) {
-                abort_staged_epoch();
-                restore_aborted_epoch();
-                note_epoch_abort("interconnect down in background transfer");
-                return;
-              }
-              finish_checkpoint(epoch, captured, period_used, pause);
-            },
-            "checkpoint-commit");
-      },
-      "checkpoint-done");
+                          static_cast<std::uint64_t>(capture.frames.size()),
+                          digest, capture.wire_version});
 }
 
-std::uint64_t ReplicationEngine::transmit_epoch_frames(
-    const std::vector<wire::RegionFrame>& frames, bool& exhausted) {
-  exhausted = false;
-  std::uint64_t retransmit_bytes = 0;
+ReplicationEngine::EpochTransfer ReplicationEngine::transmit_epoch(
+    const std::vector<wire::RegionFrame>& frames) {
+  EpochTransfer transfer;
   bool saw_corruption = false;
   const net::NodeId src = primary_.ic_node();
   const net::NodeId dst = secondary_.ic_node();
@@ -1266,7 +1053,7 @@ std::uint64_t ReplicationEngine::transmit_epoch_frames(
       const wire::RegionFrame* f = by_region.at(region);
       ++stats_.retransmits;
       if (m_retransmits_ != nullptr) m_retransmits_->add(1);
-      retransmit_bytes += f->payload_bytes();
+      transfer.retransmit_bytes += f->payload_bytes();
       wire::RegionFrame rx = *f;
       const net::FrameFate fate = fabric_.transmit_frame(src, dst, rx.bytes);
       if (fate.lost) continue;
@@ -1274,7 +1061,7 @@ std::uint64_t ReplicationEngine::transmit_epoch_frames(
       offer(rx, /*count=*/false);  // kOk repairs; kCorrupt re-marks
     }
   }
-  exhausted = !staging_->corrupt_regions().empty();
+  transfer.retransmits_exhausted = !staging_->corrupt_regions().empty();
 
   if (saw_corruption) {
     ++corruption_streak_;
@@ -1287,13 +1074,197 @@ std::uint64_t ReplicationEngine::transmit_epoch_frames(
   } else {
     corruption_streak_ = 0;
   }
-  return retransmit_bytes;
+
+  // The epoch's mirrored disk writes travel with the checkpoint.
+  for (const auto& w : epoch_disk_writes_) {
+    transfer.disk_bytes += w.sectors * 512ULL;
+  }
+  staging_->buffer_disk_writes(std::move(epoch_disk_writes_));
+  epoch_disk_writes_.clear();
+  // vCPU + device states, translated when heterogeneous.
+  transfer.state = snapshot_state_and_program();
+  return transfer;
 }
 
-void ReplicationEngine::finish_checkpoint(std::uint64_t epoch,
-                                          std::uint64_t captured_real,
-                                          sim::Duration period_used,
-                                          sim::Duration pause) {
+ReplicationEngine::EpochCost ReplicationEngine::price_epoch(
+    const EpochCapture& capture, const EpochEncoding& encoding,
+    const EpochTransfer& transfer, const net::LinkQuality& link) {
+  const std::uint64_t scale = vm_->spec().model_scale;
+  const hv::HvCostProfile& hv_cost = primary_.hypervisor().cost_profile();
+  EpochCost cost;
+  // The epoch's payload on the wire, in model units: the copy term
+  // serializes it, the link arbiter reserves it and the replica's WAL
+  // appends it. With encoders these are the *encoded* bytes and the CPU term
+  // pays the encode cycles — the observed pause is the real cost of the
+  // cheaper stream, which is what PeriodManager/Algorithm 1 re-optimise T
+  // and P against.
+  const std::uint64_t wire_bytes = encoding.payload_bytes * scale;
+  cost.constants =
+      model_.config().checkpoint_setup + hv_cost.vm_pause + hv_cost.vm_resume;
+  cost.scan = model_.scan(vm_->memory().pages() * scale, capture.threads);
+  cost.copy = model_.checkpoint_copy(encoding.critical_cpu, wire_bytes);
+  // Selective retransmissions re-ship their regions' sealed payloads inside
+  // the epoch's transfer window, inflating it.
+  cost.retransmit = model_.wire_time(transfer.retransmit_bytes * scale);
+  // Disk-mirror bytes are *not* multiplied by model_scale — guest programs
+  // issue disk writes at their modelled op rates, so the volume is already
+  // in model units (unlike page counts, which are real and scaled). A
+  // slowed-down primary disk (injected fault) stretches the mirror read.
+  cost.disk = model_.wire_time(transfer.disk_bytes);
+  const double disk_slow = primary_.hypervisor().disk(*vm_).slowdown();
+  if (disk_slow > 1.0) cost.disk = scaled(cost.disk, disk_slow);
+  cost.state = transfer.state;
+
+  // Impaired interconnect: lost checkpoint packets retransmit (1/(1-loss))
+  // and a throttled link stretches serialization (1/bandwidth_factor). The
+  // guard keeps fault-free runs bit-identical to the unimpaired engine.
+  double net_penalty = 1.0;
+  if (link.loss > 0.0) net_penalty /= (1.0 - link.loss);
+  if (link.bandwidth_factor < 1.0) net_penalty /= link.bandwidth_factor;
+  sim::Duration copy_penalty{};
+  if (net_penalty > 1.0) {
+    const sim::Duration copy = cost.copy + cost.retransmit;
+    const sim::Duration state = cost.state + cost.disk;
+    copy_penalty = scaled(copy, net_penalty) - copy;
+    cost.net_penalty = copy_penalty + (scaled(state, net_penalty) - state);
+  }
+  // Shared-link arbitration: contention shows up as actual > ideal; the
+  // difference stretches the transfer exactly like a slower dedicated wire
+  // would. Uncontended grants have actual == ideal: zero stretch.
+  if (env_.link_arbiter != nullptr) {
+    const net::LinkArbiter::Reservation res =
+        env_.link_arbiter->request(arb_flow_, wire_bytes + transfer.disk_bytes);
+    if (res.actual > res.ideal) cost.arbitration = res.actual - res.ideal;
+  }
+  // Durable ack path: the replica WAL-appends the epoch before acking, so
+  // the local NVMe append rides the commit's critical path. Local to the
+  // secondary — deliberately outside the net_penalty scaling above.
+  if (env_.durable_store != nullptr) {
+    cost.durable_append =
+        model_.durable_append(wire_bytes + transfer.disk_bytes);
+  }
+  cost.copy_span =
+      cost.copy + cost.retransmit + copy_penalty + cost.arbitration;
+  const sim::Duration transfer_time = cost.copy + cost.retransmit +
+                                      cost.net_penalty + cost.arbitration +
+                                      cost.disk + cost.state +
+                                      cost.durable_append;
+  // Pause duration t = f(N)/P + C (Eq. 3/4). Under speculative CoW the
+  // dirty set is only duplicated locally during the pause; the network push
+  // runs in the background after the VM resumes.
+  if (config_.speculative_cow) {
+    cost.cow_snapshot =
+        model_.cow_snapshot(capture.max_worker_pages * scale, capture.threads);
+    cost.pause = cost.constants + cost.scan + cost.cow_snapshot;
+    cost.background = transfer_time;
+    // The CoW buffer doubles the epoch's resident footprint on the primary.
+    primary_.account_replication_memory(
+        common::pages_to_bytes(capture.pages * scale));
+  } else {
+    cost.pause = cost.constants + cost.scan + transfer_time;
+  }
+  // An injected migrator stall holds the VM paused for its duration.
+  cost.stall = pending_stall_;
+  pending_stall_ = {};
+  cost.pause += cost.stall;
+  return cost;
+}
+
+// §8.7: CPU-seconds burnt by the replication threads (work, not makespan).
+// The encoder's cycles are work too — every worker's, not just the critical
+// path's. With encoders on, only the raw-fallback pages did the full stream
+// copy; collapsed pages' cycles are in encode_cpu.
+void ReplicationEngine::record_epoch_pause(std::uint64_t epoch,
+                                           const EpochCapture& capture,
+                                           const EpochEncoding& encoding,
+                                           const EpochCost& cost) {
+  const std::uint64_t scale = vm_->spec().model_scale;
+  const double copy_eff =
+      TimeModel::efficiency(model_.config().copy_eff, capture.threads);
+  const sim::Duration cpu_work =
+      sim::Duration{static_cast<std::int64_t>(
+          static_cast<double>(model_.config().per_page_copy.count()) *
+          static_cast<double>(encoding.raw_pages * scale) / copy_eff)} +
+      cost.scan * static_cast<std::int64_t>(capture.threads) +
+      model_.config().checkpoint_setup + encoding.encode_cpu;
+  stats_.replication_cpu += cpu_work;
+  primary_.account_replication_cpu(cpu_work);
+  primary_.account_replication_memory(staging_->peak_buffered_bytes() * scale);
+
+  if (config_.tracer == nullptr) return;
+  const sim::TimePoint pause_begin = sim_.now();
+  config_.tracer->complete(pause_begin, cost.pause, "ckpt.pause", "ckpt", 0,
+                           {{"epoch", epoch},
+                            {"dirty_pages", capture.pages * scale},
+                            {"threads", capture.threads}});
+  // One span per migrator thread, on its own tid (tid 0 is the
+  // coordinator). Worker w's share of the copy is proportional to its page
+  // count, so the span never outlasts the aggregate copy cost — which keeps
+  // spans on one tid disjoint across epochs.
+  const sim::TimePoint copy_begin =
+      pause_begin + primary_.hypervisor().cost_profile().vm_pause + cost.scan;
+  const std::uint64_t max_worker = capture.max_worker_pages;
+  for (std::uint32_t w = 0; w < capture.threads; ++w) {
+    const std::uint64_t pages = capture.worker_pages[w];
+    if (pages == 0 || max_worker == 0) continue;
+    const auto share = static_cast<std::int64_t>(
+        static_cast<double>(cost.copy_span.count()) *
+        static_cast<double>(pages) / static_cast<double>(max_worker));
+    config_.tracer->complete(copy_begin, sim::Duration{share}, "migrator.copy",
+                             "ckpt", w + 1,
+                             {{"epoch", epoch}, {"pages", pages * scale}});
+  }
+}
+
+void ReplicationEngine::end_epoch_pause(const EpochInFlight& epoch) {
+  if (!primary_.alive() || failover_in_progress_) {
+    // Host died while the checkpoint was in flight: the replica discards
+    // the partial epoch and will activate the previous one. (If this
+    // failover is later fenced, restore_aborted_epoch folds the capture
+    // back in.)
+    abort_staged_epoch();
+    return;
+  }
+  // Link died while the epoch was being pushed: abort before the new
+  // execution epoch opens, keeping buffered output in the current one.
+  const net::LinkQuality q =
+      fabric_.link_quality(primary_.ic_node(), secondary_.ic_node());
+  if (!q.connected || q.down) {
+    abort_epoch("interconnect down at commit", &epoch);
+    return;
+  }
+  // A new execution epoch starts the moment the VM resumes; output
+  // produced from here on must wait for the *next* commit.
+  ++current_epoch_;
+  if (epoch.background == sim::Duration{}) {
+    finish_checkpoint(epoch);
+    if (epoch.was_running) primary_.hypervisor().resume(*vm_);
+    return;
+  }
+  // Speculative CoW: resume now; commit (and release epoch N's output) only
+  // when the background transfer lands.
+  if (epoch.was_running) primary_.hypervisor().resume(*vm_);
+  checkpoint_finish_event_ = sim_.schedule_after(
+      epoch.background, [this, epoch] { land_background_transfer(epoch); },
+      "checkpoint-commit");
+}
+
+void ReplicationEngine::land_background_transfer(const EpochInFlight& epoch) {
+  if (!primary_.alive() || failover_in_progress_) {
+    abort_staged_epoch();
+    return;
+  }
+  const net::LinkQuality q =
+      fabric_.link_quality(primary_.ic_node(), secondary_.ic_node());
+  if (!q.connected || q.down) {
+    abort_epoch("interconnect down in background transfer");
+    return;
+  }
+  finish_checkpoint(epoch);
+}
+
+
+void ReplicationEngine::finish_checkpoint(const EpochInFlight& epoch) {
   const Expected<std::uint64_t> committed = staging_->commit();
   if (!committed.ok()) {
     // The replica refused the epoch: its verification state says the image
@@ -1304,12 +1275,10 @@ void ReplicationEngine::finish_checkpoint(std::uint64_t epoch,
     if (m_commits_rejected_ != nullptr) m_commits_rejected_->add(1);
     if (config_.tracer != nullptr) {
       config_.tracer->instant(sim_.now(), "epoch.commit_rejected", "ckpt",
-                              {{"epoch", epoch},
+                              {{"epoch", epoch.epoch},
                                {"status", committed.status().to_string()}});
     }
-    abort_staged_epoch();
-    restore_aborted_epoch();
-    note_epoch_abort("replica refused commit: integrity verification failed");
+    abort_epoch("replica refused commit: integrity verification failed");
     return;
   }
   // The replica committed: promote the encoder's staged references so the
@@ -1328,10 +1297,7 @@ void ReplicationEngine::finish_checkpoint(std::uint64_t epoch,
   // crash, and the rejoin diff needs the last-acked references.
   if (env_.durable_store != nullptr) {
     if (m_wal_appends_ != nullptr) m_wal_appends_->add(1);
-    committed_digest_mirror_.resize(staging_->region_count());
-    for (std::uint32_t r = 0; r < staging_->region_count(); ++r) {
-      committed_digest_mirror_[r] = staging_->committed_region_digest(r);
-    }
+    mirror_committed_digests();
   }
   // First commit after a secondary rejoin: the resynced image is acked and
   // (if durable) persisted, so the VM survives a primary failure again.
@@ -1343,7 +1309,7 @@ void ReplicationEngine::finish_checkpoint(std::uint64_t epoch,
     }
     if (config_.tracer != nullptr) {
       config_.tracer->instant(sim_.now(), "rejoin.protected", "fo",
-                              {{"epoch", epoch},
+                              {{"epoch", epoch.epoch},
                                {"rejoin_ns",
                                 stats_.last_rejoin_time.count()}});
     }
@@ -1353,16 +1319,17 @@ void ReplicationEngine::finish_checkpoint(std::uint64_t epoch,
 
   const std::uint64_t scale = vm_->spec().model_scale;
   CheckpointRecord record;
-  record.epoch = epoch;
+  record.epoch = epoch.epoch;
   record.completed_at = sim_.now();
-  record.period_used = period_used;
-  record.pause = pause;
-  record.dirty_pages_model = captured_real * scale;
+  record.period_used = epoch.period_used;
+  record.pause = epoch.pause;
+  record.dirty_pages_model = epoch.pages * scale;
   record.bytes_model = common::pages_to_bytes(record.dirty_pages_model);
-  record.degradation = sim::to_seconds(pause) /
-                       (sim::to_seconds(pause) + sim::to_seconds(period_used));
+  record.degradation =
+      sim::to_seconds(record.pause) /
+      (sim::to_seconds(record.pause) + sim::to_seconds(record.period_used));
   stats_.checkpoints.push_back(record);
-  stats_.total_pause += pause;
+  stats_.total_pause += record.pause;
   stats_.degradation_series.record(sim_.now(), record.degradation * 100.0);
 
   // The commit event precedes the release of the epoch's buffered output:
@@ -1381,18 +1348,18 @@ void ReplicationEngine::finish_checkpoint(std::uint64_t epoch,
     m_epochs_->add(1);
     m_dirty_pages_->add(record.dirty_pages_model);
     m_bytes_->add(record.bytes_model);
-    m_pause_ms_->add(sim::to_seconds(pause) * 1e3);
+    m_pause_ms_->add(sim::to_seconds(record.pause) * 1e3);
     m_degradation_pct_->add(record.degradation * 100.0);
   }
   for (EngineObserver* o : observers_) o->on_checkpoint_committed(record);
 
   // Output commit: packets of the epoch that just committed are released.
-  outbound_.release_up_to(epoch, sim_.now());
+  outbound_.release_up_to(record.epoch, sim_.now());
 
   // Period policy input: measured pause, plus whether the epoch carried
   // guest I/O (the Adaptive Remus baseline's trigger).
   const std::uint64_t captured_now = outbound_.captured_total();
-  period_.observe_epoch(pause, captured_now > epoch_start_captured_);
+  period_.observe_epoch(record.pause, captured_now > epoch_start_captured_);
   epoch_start_captured_ = captured_now;
   if (config_.tracer != nullptr) {
     // Algorithm 1's decision with its inputs (t, N, P) and output (next T).
@@ -1592,10 +1559,7 @@ void ReplicationEngine::fence_failover() {
   // its buffered output was never dropped (that happens only at activation),
   // so the next commit releases it and clients see a gapless stream.
   restore_aborted_epoch();
-  if (primary_.alive() && vm_ != nullptr &&
-      vm_->state() == hv::VmState::kPaused) {
-    primary_.hypervisor().resume(*vm_);
-  }
+  resume_guest();
   last_checkpoint_done_ = sim_.now();
   schedule_checkpoint();
   watchdog_check();
@@ -1718,10 +1682,7 @@ void ReplicationEngine::drain(const std::string& reason) {
   // let the guest run again.
   if (staging_) abort_staged_epoch();
   restore_aborted_epoch();
-  if (vm_ != nullptr && primary_.alive() && !resume_probe_pending_ &&
-      vm_->state() == hv::VmState::kPaused) {
-    primary_.hypervisor().resume(*vm_);
-  }
+  if (!resume_probe_pending_) resume_guest();
   // Unreleased output belongs to epochs that will never commit through this
   // engine. Dropping it is the same output-commit call failover makes: a
   // never-released packet was never client-visible.
@@ -1753,9 +1714,7 @@ void ReplicationEngine::inject_secondary_crash(sim::Duration reboot_after) {
   if (staging_) abort_staged_epoch();
   restore_aborted_epoch();
   staging_.reset();
-  if (primary_.alive() && vm_->state() == hv::VmState::kPaused) {
-    primary_.hypervisor().resume(*vm_);
-  }
+  resume_guest();
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "fault.secondary_crash", "fo",
                             {{"reboot_after_ns", reboot_after.count()},
@@ -1774,8 +1733,7 @@ void ReplicationEngine::on_secondary_rebooted() {
     return;
   }
   secondary_down_ = false;
-  staging_ = std::make_unique<ReplicaStaging>(vm_->spec(), threads());
-  staging_->set_advertised_wire_version(config_.replica_max_wire_version);
+  reset_staging();
   common::DirtyBitmap* bm = primary_.hypervisor().dirty_bitmap(*vm_);
   const std::uint64_t pages = vm_->memory().pages();
   const std::uint64_t scale = vm_->spec().model_scale;
@@ -1859,18 +1817,8 @@ void ReplicationEngine::on_secondary_rebooted() {
   // recovery, all) sectors re-cross the wire. The re-mirrored disk may run
   // ahead of the recovered memory by the open epoch's writes — harmless, as
   // failover stays impossible until the next commit delivers machine state.
-  std::uint64_t divergent_sectors = 0;
-  {
-    const auto want = primary_disk.sorted_stamps();
-    const auto have = staging_->disk().sorted_stamps();
-    std::size_t i = 0;
-    for (const auto& [sector, stamp] : want) {
-      while (i < have.size() && have[i].first < sector) ++i;
-      const bool match =
-          i < have.size() && have[i].first == sector && have[i].second == stamp;
-      if (!match) ++divergent_sectors;
-    }
-  }
+  const std::uint64_t divergent_sectors =
+      count_divergent_sectors(primary_disk, staging_->disk());
   staging_->seed_disk(primary_disk);
   stats_.resync_disk_sectors += divergent_sectors;
   recovery_cost += model_.wire_time(divergent_sectors * 512ULL);
@@ -2040,10 +1988,7 @@ void ReplicationEngine::on_resume_grant() {
   // buffered output was never dropped, only activation drops).
   if (staging_) abort_staged_epoch();
   restore_aborted_epoch();
-  if (primary_.alive() && vm_ != nullptr &&
-      vm_->state() == hv::VmState::kPaused) {
-    primary_.hypervisor().resume(*vm_);
-  }
+  resume_guest();
   if (staging_ && !secondary_down_ && seeded_) {
     sim_.cancel(checkpoint_event_);
     last_checkpoint_done_ = sim_.now();

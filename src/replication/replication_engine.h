@@ -32,7 +32,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "hv/host.h"
 #include "kvmsim/kvm_hypervisor.h"
 #include "obs/metrics.h"
@@ -114,12 +113,12 @@ struct FaultToleranceConfig {
 // construction next to (not inside) ReplicationConfig: the config describes
 // policy knobs that are meaningful per engine, the environment names
 // longer-lived infrastructure that is owned elsewhere and must outlive the
-// engine. A default-constructed EngineEnv reproduces the standalone engine
-// byte-for-byte (private thread pool, dedicated wire, no durability).
+// engine. A default-constructed EngineEnv is the standalone engine: its own
+// migrator pool, a dedicated wire, no durability.
 struct EngineEnv {
-  // Shared host migrator pool: when set, checkpoint bursts draw fair-share
-  // thread grants from it instead of a private pool, so N engines on one
-  // host contend explicitly. Null keeps the original dedicated pool.
+  // Shared host migrator pool: checkpoint bursts draw fair-share thread
+  // grants from it, so N engines on one host contend explicitly. Null gives
+  // the engine its own pool of checkpoint_threads workers and full grants.
   MigratorPool* migrator_pool = nullptr;
   // Shared replication-link bandwidth arbiter: when set, every epoch
   // transfer reserves WFQ capacity and contention stretches the pause.
@@ -147,15 +146,10 @@ struct ReplicationConfig {
   TimeModelConfig time_model;
   // Activate the replica automatically when the heartbeat lapses.
   bool auto_failover = true;
-  // XBZRLE-style page compression on the replication stream (extension; see
-  // bench/ablation_compression for when it pays off).
-  bool compress_pages = false;
   // Content-aware checkpoint encoders (src/replication/encoder.h): shrink
   // what reaches the migrator pool and the wire (zero elision, XOR-delta,
   // content-hash skip) on wire version 1. All-off keeps the engine on wire
-  // version 0, byte-identical to the un-encoded stream. Mutually exclusive
-  // with compress_pages (the whole-stream model would double-count the
-  // encoder's savings).
+  // version 0, byte-identical to the un-encoded stream.
   EncoderConfig encoders;
   // Speculative copy-on-write checkpointing (the Remus paper's classic
   // optimization, extension here): the dirty set is duplicated into a local
@@ -166,8 +160,8 @@ struct ReplicationConfig {
   bool speculative_cow = false;
   // Engine-hardening behaviour under injected faults (src/faults).
   FaultToleranceConfig ft;
-  // Fair-share weight of this engine on the shared pool and link (> 0).
-  // Only consulted when EngineEnv carries a pool or arbiter.
+  // Fair-share weight of this engine on the migrator pool and link (> 0).
+  // Only contending clients on a shared EngineEnv pool or arbiter weigh it.
   double flow_weight = 1.0;
   // Highest checkpoint wire version this engine's *replica* advertises
   // (rolling-upgrade pinning). A v1-capable secondary pinned to v0 makes the
@@ -382,8 +376,8 @@ class ReplicationEngine {
     return primary_.hypervisor().kind() != secondary_.hypervisor().kind();
   }
 
-  // Fleet-scheduling identities (valid once start_protection ran; only
-  // meaningful when the corresponding EngineEnv pointer is set).
+  // Fleet-scheduling identities (valid once start_protection ran; the
+  // arbiter flow is only meaningful when EngineEnv carries an arbiter).
   [[nodiscard]] MigratorPool::ClientId pool_client() const {
     return pool_client_;
   }
@@ -393,9 +387,6 @@ class ReplicationEngine {
 
  private:
   [[nodiscard]] std::uint32_t threads() const;
-  // The real worker pool backing seeding and checkpoint copies: the shared
-  // host pool when fleet scheduling is on, the engine's own otherwise.
-  [[nodiscard]] common::ThreadPool& worker_pool();
 
   // --- Seeding (with retry) --------------------------------------------------
   void begin_seed_attempt();
@@ -405,24 +396,106 @@ class ReplicationEngine {
   void commit_initial_checkpoint();
 
   // --- Continuous checkpointing ---------------------------------------------
+  // One epoch runs as a pipeline of stages, each returning a typed result:
+  //   capture -> encode -> seal -> transmit -> price -> commit/abort.
+  // run_checkpoint coordinates them; every abort goes through abort_epoch.
+
+  // The epoch's dirty set, cut into one frame per dirty 2 MiB region (page
+  // numbers only; the encode stage fills the payloads).
+  struct EpochCapture {
+    std::uint32_t threads = 1;                // migrator threads granted (P)
+    std::vector<std::uint64_t> worker_pages;  // real pages each worker took
+    std::uint64_t pages = 0;                  // real pages captured
+    std::uint64_t max_worker_pages = 0;       // the critical-path shard
+    std::uint16_t wire_version = wire::kWireVersionRaw;
+    std::vector<wire::RegionFrame> frames;
+  };
+  // What the frames cost to fill, in real (unscaled) units except the CPU
+  // terms, which are priced on model-scaled page counts.
+  struct EpochEncoding {
+    std::uint64_t payload_bytes = 0;  // bytes the frames carry on the wire
+    std::uint64_t raw_pages = 0;      // pages that paid the full stream copy
+    sim::Duration critical_cpu{};     // slowest worker: raw copies + encode
+    sim::Duration encode_cpu{};       // all workers' encode cycles
+  };
+  // What crossed to the replica besides the first pass of the frames.
+  struct EpochTransfer {
+    std::uint64_t retransmit_bytes = 0;  // payload re-shipped after NACKs
+    bool retransmits_exhausted = false;  // corrupt regions remain
+    std::uint64_t disk_bytes = 0;        // mirrored disk writes (model units)
+    sim::Duration state{};               // machine state + translation + ACK
+  };
+  // The epoch's virtual-time cost, t = alpha*N/P + C, term by term. The
+  // transfer is copy + retransmit + net_penalty + arbitration + disk + state
+  // + durable_append; it lands in the pause, or in the background under
+  // speculative CoW (where cow_snapshot is paid in the pause instead).
+  struct EpochCost {
+    sim::Duration constants{};       // setup + VM pause + VM resume
+    sim::Duration scan{};            // dirty-log scan over every page slot
+    sim::Duration cow_snapshot{};    // local dirty-set duplicate (CoW only)
+    sim::Duration copy{};            // max(critical worker CPU, wire time)
+    sim::Duration retransmit{};      // re-shipped corrupt regions
+    sim::Duration net_penalty{};     // loss / throttling stretch
+    sim::Duration arbitration{};     // shared-link queueing stretch
+    sim::Duration disk{};            // disk-mirror transfer
+    sim::Duration state{};           // machine state + translation + ACK
+    sim::Duration durable_append{};  // replica WAL append before the ACK
+    sim::Duration stall{};           // injected migrator stall
+    sim::Duration copy_span{};       // migrator threads' busy time
+    sim::Duration pause{};
+    sim::Duration background{};
+  };
+  // A priced epoch waiting for its pause (and background transfer) to end.
+  struct EpochInFlight {
+    std::uint64_t epoch = 0;
+    std::uint64_t pages = 0;  // real pages captured
+    sim::Duration period_used{};
+    sim::Duration pause{};
+    sim::Duration background{};
+    bool was_running = false;  // the engine paused a running guest
+  };
+
   void schedule_checkpoint();
   void run_checkpoint();
+  [[nodiscard]] EpochCapture capture_epoch();
+  [[nodiscard]] EpochEncoding encode_epoch(EpochCapture& capture);
+  // Seals every frame, folds the epoch header's rolling digest and arms the
+  // replica's expectation of the epoch.
+  void seal_epoch(EpochCapture& capture);
   // Pushes the epoch's frames through the interconnect data plane, NACKing
   // and selectively retransmitting corrupt regions up to ft.retransmit_budget
-  // rounds. Retransmits re-ship the sealed (possibly encoded) frames as-is.
-  // Returns payload bytes retransmitted; sets `exhausted` when corrupt
-  // regions remain (the caller falls back to abort-and-retry).
-  std::uint64_t transmit_epoch_frames(
-      const std::vector<wire::RegionFrame>& frames, bool& exhausted);
+  // rounds (retransmits re-ship the sealed frames as-is), then hands the
+  // replica the epoch's disk writes and machine state. Corrupt regions left
+  // over make the caller fall back to abort-and-retry.
+  [[nodiscard]] EpochTransfer transmit_epoch(
+      const std::vector<wire::RegionFrame>& frames);
+  // Prices the epoch. Reserves its wire bytes on the link arbiter, consumes
+  // any injected stall and accounts the CoW buffer: call once per epoch.
+  [[nodiscard]] EpochCost price_epoch(const EpochCapture& capture,
+                                      const EpochEncoding& encoding,
+                                      const EpochTransfer& transfer,
+                                      const net::LinkQuality& link);
+  // Accounts the epoch's replication CPU and memory; traces its pause.
+  void record_epoch_pause(std::uint64_t epoch, const EpochCapture& capture,
+                          const EpochEncoding& encoding, const EpochCost& cost);
+  // End of the pause: commit now, or resume and wait for the background
+  // transfer (speculative CoW).
+  void end_epoch_pause(const EpochInFlight& epoch);
+  void land_background_transfer(const EpochInFlight& epoch);
+  // Commit stage: the replica commits (or refuses) the staged epoch, output
+  // is released and the next period is chosen.
+  void finish_checkpoint(const EpochInFlight& epoch);
+  // The one way an epoch aborts: discard what was staged on both sides of
+  // the stream, fold the capture back into the running epoch, let a guest
+  // the epoch `paused` run again — after `hold` when set, else now — and
+  // record the abort and schedule the retry (exponential backoff).
+  void abort_epoch(const char* reason, const EpochInFlight* paused = nullptr,
+                   std::optional<sim::Duration> hold = std::nullopt);
   void schedule_scrub();
   void run_scrub();
-  void finish_checkpoint(std::uint64_t epoch, std::uint64_t captured_real,
-                         sim::Duration period_used, sim::Duration pause);
   // Saves + (if heterogeneous) translates machine state and program snapshot
   // into staging's pending slot. Returns the time cost.
   sim::Duration snapshot_state_and_program();
-  // Records an aborted epoch and schedules the retry (exponential backoff).
-  void note_epoch_abort(const char* reason);
   // Folds the last captured-but-uncommitted epoch back into the running
   // one: re-marks its pages dirty and restores its mirrored disk writes, so
   // the retry (or a fenced failover's restart) re-ships them.
@@ -431,6 +504,17 @@ class ReplicationEngine {
   // buffers *and* the encoder's staged reference updates (which must only
   // ever promote when the replica actually commits).
   void abort_staged_epoch();
+  // Lets the protected guest run again if it is paused on a live primary.
+  void resume_guest();
+  // A fresh, empty replica staging area advertising the configured wire
+  // version.
+  void reset_staging();
+  // Builds and baselines the encoder stage against the current memory, when
+  // encoders are configured and the replica decodes wire v1. Call only
+  // while the replica's committed image equals primary memory.
+  void baseline_encoder();
+  // Copies the replica's committed per-region digests to the engine side.
+  void mirror_committed_digests();
 
   // --- Heartbeat / failover --------------------------------------------------
   void send_heartbeat();
@@ -480,8 +564,10 @@ class ReplicationEngine {
   ReplicationConfig config_;
   EngineEnv env_;
   TimeModel model_;
-  // Private worker pool; null when a shared MigratorPool is configured.
-  std::unique_ptr<common::ThreadPool> pool_;
+  // The engine's own migrator pool; null when EngineEnv shares one.
+  std::unique_ptr<MigratorPool> owned_pool_;
+  // Where checkpoint bursts and seeding run: the shared or the owned pool.
+  MigratorPool& pool_;
   PeriodManager period_;
   OutboundBuffer outbound_;
   MigratorPool::ClientId pool_client_ = MigratorPool::kInvalidClient;

@@ -43,13 +43,6 @@ struct TimeModelConfig {
   // Interconnect (Omni-Path HFI 100).
   double wire_bytes_per_second = 12.5e9;
 
-  // Optional XBZRLE-style page compression for the replication stream:
-  // extra CPU per page vs fewer bytes on the wire. Pays off on thin pipes
-  // (10 GbE), not on the paper's CPU-bound 100 Gbit/s setup — see
-  // bench/ablation_compression.
-  sim::Duration compression_cpu_per_page = sim::Duration{1000};  // 1 us (XOR+RLE)
-  double compression_ratio = 0.35;  // compressed bytes / raw bytes
-
   // Local CoW page duplication (speculative checkpointing): a plain local
   // memcpy, ~6 GB/s per thread.
   sim::Duration per_page_cow = sim::Duration{700};  // 0.7 us
@@ -59,8 +52,7 @@ struct TimeModelConfig {
   // *real* copy cost of the encoded stream to PeriodManager/Algorithm 1:
   //   * zero_scan: read 4 KiB and compare against zero (~25 GB/s);
   //   * page_hash: byte-wise FNV-1a over the page;
-  //   * delta_encode: XOR against the shadow + RLE emit (same ballpark as
-  //     the XBZRLE compression cost above).
+  //   * delta_encode: XOR against the shadow + RLE emit.
   sim::Duration encode_zero_scan_per_page = sim::Duration{160};   // 0.16 us
   sim::Duration encode_page_hash_per_page = sim::Duration{400};   // 0.4 us
   sim::Duration encode_delta_per_page = sim::Duration{1100};      // 1.1 us
@@ -80,30 +72,23 @@ class TimeModel {
 
   [[nodiscard]] const TimeModelConfig& config() const { return config_; }
 
-  // Continuous-replication checkpoint copy: `max_worker_pages` is the
-  // largest per-thread share (the critical path), `total_pages` feeds the
-  // wire serialization term. Result = max(cpu critical path, wire time).
-  // With `compressed`, each page costs extra CPU but ships fewer bytes.
-  [[nodiscard]] sim::Duration checkpoint_copy(std::uint64_t max_worker_pages,
-                                              std::uint64_t total_pages,
-                                              std::uint32_t threads,
-                                              bool compressed = false) const;
+  // Continuous-replication checkpoint copy: `max_worker_cpu` is the
+  // slowest worker's shard cost (price each worker with shard_copy_cpu) and
+  // the wire term serializes the epoch's `wire_bytes` — encoded bytes when
+  // encoders run, which is the whole point of driving α down.
+  // Result = max(cpu critical path, wire time).
+  [[nodiscard]] sim::Duration checkpoint_copy(sim::Duration max_worker_cpu,
+                                              std::uint64_t wire_bytes) const;
 
-  // Encoded-stream variant: `max_worker_cpu` is the slowest worker's shard
-  // cost (price each worker with encoded_shard_cpu) and the wire term
-  // serializes the *encoded* bytes — the whole point of driving α down.
-  [[nodiscard]] sim::Duration checkpoint_copy_encoded(
-      sim::Duration max_worker_cpu, std::uint64_t encoded_wire_bytes) const;
-
-  // CPU cost of one worker's encoded shard. Only raw-fallback pages pay the
-  // full per-page stream copy: a collapsed page (zero/skip/delta) is read in
-  // place by the encoder — which holds a persistent mapping and its own
-  // shadow — and emits a header or a few delta bytes instead of the 4 KiB
-  // memcpy into the migration stream. Its cycles are `encode_cpu`, which
-  // rides on top.
-  [[nodiscard]] sim::Duration encoded_shard_cpu(std::uint64_t raw_pages,
-                                                std::uint32_t threads,
-                                                sim::Duration encode_cpu) const;
+  // CPU cost of one worker's checkpoint shard. Only raw pages pay the full
+  // per-page stream copy: a page an encoder collapsed (zero/skip/delta) is
+  // read in place by the encoder — which holds a persistent mapping and its
+  // own shadow — and emits a header or a few delta bytes instead of the
+  // 4 KiB memcpy into the migration stream. Its cycles are `encode_cpu`,
+  // which rides on top.
+  [[nodiscard]] sim::Duration shard_copy_cpu(
+      std::uint64_t raw_pages, std::uint32_t threads,
+      sim::Duration encode_cpu = {}) const;
 
   // Prices one worker's encoder work (model-scaled page counts).
   [[nodiscard]] sim::Duration encode_cpu(std::uint64_t zero_scans,

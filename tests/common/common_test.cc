@@ -137,7 +137,7 @@ TEST(DirtyBitmap, ConcurrentSettersAreAllObserved) {
   constexpr std::uint64_t kPages = 1 << 16;
   DirtyBitmap bm(kPages);
   ThreadPool pool(4);
-  pool.run_per_worker([&](std::size_t w) {
+  pool.parallel_for(4, [&](std::size_t w) {
     for (std::uint64_t g = w; g < kPages; g += 4) bm.set(g);
   });
   EXPECT_EQ(bm.count(), kPages);
@@ -157,13 +157,6 @@ TEST(ThreadPool, ParallelForZeroIsNoop) {
   pool.parallel_for(0, [](std::size_t) { FAIL(); });
 }
 
-TEST(ThreadPool, RunPerWorkerGivesDistinctIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> seen(4);
-  pool.run_per_worker([&](std::size_t w) { seen[w].fetch_add(1); });
-  for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
-}
-
 TEST(ThreadPool, SubmitReturnsUsableFuture) {
   ThreadPool pool(2);
   auto fut = pool.submit([] {});
@@ -180,14 +173,14 @@ TEST(ThreadPool, ExceptionsPropagateThroughParallelFor) {
       std::runtime_error);
 }
 
-TEST(ThreadPool, ExceptionsPropagateThroughRunPerWorker) {
+TEST(ThreadPool, ThrowingShardDoesNotStopOtherShards) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> ran(4);
   const auto shard = [&](std::size_t w) {
     ran[w].fetch_add(1);
     if (w == 1) throw std::runtime_error("boom");
   };
-  EXPECT_THROW(pool.run_per_worker(shard), std::runtime_error);
+  EXPECT_THROW(pool.parallel_for(4, shard), std::runtime_error);
   // The other shards still ran, each exactly once.
   for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
 }

@@ -3,7 +3,9 @@
 // model.
 #include <gtest/gtest.h>
 
+#include "common/units.h"
 #include "replication/io_buffer.h"
+#include "replication/migrator_pool.h"
 #include "replication/period_manager.h"
 #include "replication/staging.h"
 #include "replication/time_model.h"
@@ -266,18 +268,26 @@ TEST(TimeModel, EfficiencyAnchorsAndInterpolation) {
   EXPECT_LT(e3, 0.85);
 }
 
+// The un-encoded checkpoint copy of `total` pages whose largest per-worker
+// shard is `max_worker` pages.
+sim::Duration raw_copy(const TimeModel& model, std::uint64_t max_worker,
+                       std::uint64_t total, std::uint32_t threads) {
+  return model.checkpoint_copy(model.shard_copy_cpu(max_worker, threads),
+                               common::pages_to_bytes(total));
+}
+
 TEST(TimeModel, CopyIsLinearInPages) {
   TimeModel model;
-  const auto t1 = model.checkpoint_copy(1000, 1000, 1);
-  const auto t2 = model.checkpoint_copy(2000, 2000, 1);
+  const auto t1 = raw_copy(model, 1000, 1000, 1);
+  const auto t2 = raw_copy(model, 2000, 2000, 1);
   EXPECT_NEAR(static_cast<double>(t2.count()),
               2.0 * static_cast<double>(t1.count()), 1e3);
 }
 
 TEST(TimeModel, ParallelismHelpsButSubLinearly) {
   TimeModel model;
-  const auto t1 = model.checkpoint_copy(400000, 400000, 1);
-  const auto t4 = model.checkpoint_copy(100000, 400000, 4);
+  const auto t1 = raw_copy(model, 400000, 400000, 1);
+  const auto t4 = raw_copy(model, 100000, 400000, 4);
   const double speedup =
       static_cast<double>(t1.count()) / static_cast<double>(t4.count());
   EXPECT_GT(speedup, 2.0);
@@ -288,7 +298,7 @@ TEST(TimeModel, WireBoundsLargeTransfers) {
   TimeModelConfig config;
   config.per_page_copy = sim::Duration{1};  // near-free CPU
   TimeModel model(config);
-  const auto t = model.checkpoint_copy(1 << 20, 1 << 20, 4);
+  const auto t = raw_copy(model, 1 << 20, 1 << 20, 4);
   // 4 GiB at 12.5 GB/s ~ 0.34 s: wire-dominated.
   EXPECT_GT(sim::to_seconds(t), 0.3);
 }
@@ -304,8 +314,46 @@ TEST(TimeModel, ScanScalesWithThreads) {
 TEST(TimeModel, SeedingScalesWorseThanCheckpointing) {
   TimeModel model;
   const auto seed4 = model.seed_copy(100000, 400000, 4);
-  const auto ckpt4 = model.checkpoint_copy(100000, 400000, 4);
+  const auto ckpt4 = raw_copy(model, 100000, 400000, 4);
   EXPECT_GT(seed4, ckpt4);  // PML drain + problematic tracking overhead
+}
+
+// --- MigratorPool grants --------------------------------------------------------
+
+// Alone at admission, a client is granted its request (capped by the pool)
+// whatever its weight: workers * w / w must not floor below the pool size.
+TEST(MigratorPool, LoneClientGetsItsRequestAtAnyWeight) {
+  sim::Simulation sim;
+  for (const std::uint32_t workers : {3u, 4u}) {
+    MigratorPool pool(sim, workers);
+    for (const double weight : {0.175, 0.3, 0.7, 1.0, 2.5, 7.0}) {
+      for (const std::uint32_t requested : {1u, 2u, 3u, 4u, 8u}) {
+        const MigratorPool::ClientId client =
+            pool.register_client("vm", requested, weight);
+        const MigratorPool::Grant grant = pool.begin_burst(client);
+        EXPECT_EQ(grant.threads, std::min(requested, workers))
+            << "workers=" << workers << " weight=" << weight
+            << " requested=" << requested;
+        EXPECT_EQ(grant.contending, 1u);
+      }
+    }
+  }
+}
+
+TEST(MigratorPool, TwoBusyClientsSplitThePoolEvenly) {
+  sim::Simulation sim;
+  MigratorPool pool(sim, 4);
+  const MigratorPool::ClientId a = pool.register_client("a", 4);
+  const MigratorPool::ClientId b = pool.register_client("b", 4);
+  EXPECT_EQ(pool.begin_burst(a).threads, 4u);  // alone so far
+  pool.commit_burst(a, sim::from_millis(10));
+  const MigratorPool::Grant grant_b = pool.begin_burst(b);
+  EXPECT_EQ(grant_b.threads, 2u);
+  EXPECT_EQ(grant_b.contending, 2u);
+  pool.commit_burst(b, sim::from_millis(10));
+  const MigratorPool::Grant grant_a = pool.begin_burst(a);
+  EXPECT_EQ(grant_a.threads, 2u);
+  EXPECT_EQ(grant_a.contending, 2u);
 }
 
 }  // namespace

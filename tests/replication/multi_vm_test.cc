@@ -1,8 +1,10 @@
 // Several protected VMs sharing one host pair: one engine per VM, shared
-// heartbeat fabric, independent failover — plus KVM ioctl accounting.
+// heartbeat fabric, independent failover — plus KVM ioctl accounting, and
+// the equivalence of an engine's own migrator pool with an explicit one.
 #include <gtest/gtest.h>
 
 #include "kvmsim/kvm_hypervisor.h"
+#include "obs/trace.h"
 #include "replication/replication_engine.h"
 #include "sim/hardware_profile.h"
 #include "workload/synthetic.h"
@@ -110,6 +112,99 @@ TEST(MultiVm, KvmIoctlTrafficAccounted) {
   EXPECT_EQ(kvm_hv.ioctl_count(Ioctl::kSetRegs), 2u);
   EXPECT_EQ(kvm_hv.ioctl_count(Ioctl::kSetLapic), 2u);
   EXPECT_GT(kvm_hv.total_ioctls(), 8u);
+}
+
+// One traced protected VM on a fresh host pair. With `explicit_pool` the
+// engine draws its bursts from a caller-made one-client MigratorPool of
+// checkpoint_threads workers instead of the pool it owns by default.
+struct TracedRun {
+  std::vector<CheckpointRecord> records;
+  std::string trace_jsonl;
+};
+
+TracedRun run_traced(EngineMode mode, const EncoderConfig& encoders,
+                     bool explicit_pool) {
+  obs::RingBufferRecorder recorder(1u << 18);
+  obs::Tracer tracer(&recorder);
+  sim::Simulation sim;
+  net::Fabric fabric{sim};
+  fabric.attach_obs(&tracer, nullptr);
+  sim::Rng root(7);
+  hv::Host primary("xen-a", fabric,
+                   std::make_unique<xen::XenHypervisor>(sim, root.fork()));
+  std::unique_ptr<hv::Hypervisor> second;
+  if (mode == EngineMode::kRemus) {
+    second = std::make_unique<xen::XenHypervisor>(sim, root.fork());
+  } else {
+    second = std::make_unique<kvm::KvmHypervisor>(sim, root.fork());
+  }
+  hv::Host secondary("b", fabric, std::move(second));
+  fabric.connect(primary.ic_node(), secondary.ic_node(),
+                 sim::grid5000_host().interconnect);
+
+  ReplicationConfig config;
+  config.mode = mode;
+  config.checkpoint_threads = mode == EngineMode::kRemus ? 1 : 3;
+  config.period.t_max = sim::from_millis(400);
+  config.encoders = encoders;
+  // A weight whose w/w share rounds below the pool size in floating point:
+  // a lone client must still be granted its full request.
+  config.flow_weight = 0.175;
+  config.tracer = &tracer;
+
+  std::unique_ptr<MigratorPool> pool;
+  EngineEnv env;
+  if (explicit_pool) {
+    pool = std::make_unique<MigratorPool>(sim, config.checkpoint_threads);
+    env.migrator_pool = pool.get();
+  }
+  ReplicationEngine engine(sim, fabric, primary, secondary, config, env);
+  hv::Vm& vm =
+      primary.hypervisor().create_vm(hv::make_vm_spec("vm", 2, 64ULL << 20));
+  vm.attach_program(
+      std::make_unique<wl::SyntheticProgram>(wl::memory_microbench(20)));
+  primary.hypervisor().start(vm);
+  EXPECT_TRUE(engine.start_protection(vm).ok());
+  const sim::TimePoint deadline = sim.now() + sim::from_seconds(600);
+  while (!engine.seeded() && sim.now() < deadline) {
+    sim.run_for(sim::from_millis(50));
+  }
+  EXPECT_TRUE(engine.seeded());
+  sim.run_for(sim::from_seconds(3));
+
+  TracedRun run;
+  run.records = engine.stats().checkpoints;
+  run.trace_jsonl = obs::to_jsonl(recorder.snapshot());
+  EXPECT_EQ(recorder.overwritten(), 0u) << "ring too small for the scenario";
+  return run;
+}
+
+void expect_same_run(const TracedRun& own, const TracedRun& given) {
+  ASSERT_GT(own.records.size(), 2u);
+  ASSERT_EQ(own.records.size(), given.records.size());
+  for (std::size_t i = 0; i < own.records.size(); ++i) {
+    const CheckpointRecord& a = own.records[i];
+    const CheckpointRecord& b = given.records[i];
+    EXPECT_EQ(a.epoch, b.epoch);
+    EXPECT_EQ(a.completed_at, b.completed_at);
+    EXPECT_EQ(a.period_used, b.period_used);
+    EXPECT_EQ(a.pause, b.pause);
+    EXPECT_EQ(a.dirty_pages_model, b.dirty_pages_model);
+    EXPECT_EQ(a.bytes_model, b.bytes_model);
+    EXPECT_EQ(a.degradation, b.degradation);
+  }
+  EXPECT_NE(own.trace_jsonl.find("\"pool.grant\""), std::string::npos);
+  EXPECT_EQ(own.trace_jsonl, given.trace_jsonl);
+}
+
+TEST(MigratorPoolEquivalence, HereWithEncodersOwnPoolMatchesExplicitPool) {
+  expect_same_run(run_traced(EngineMode::kHere, EncoderConfig::all(), false),
+                  run_traced(EngineMode::kHere, EncoderConfig::all(), true));
+}
+
+TEST(MigratorPoolEquivalence, RemusOwnPoolMatchesExplicitPool) {
+  expect_same_run(run_traced(EngineMode::kRemus, EncoderConfig{}, false),
+                  run_traced(EngineMode::kRemus, EncoderConfig{}, true));
 }
 
 }  // namespace
