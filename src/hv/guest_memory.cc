@@ -1,20 +1,12 @@
 #include "hv/guest_memory.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace here::hv {
 
 using common::kPageSize;
-
-std::uint64_t page_bytes_digest(std::span<const std::uint8_t> page) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : page) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 GuestMemory::GuestMemory(std::uint64_t pages, std::uint32_t vcpus)
     : pages_(pages), vcpus_(vcpus), frames_(pages * kPageSize, 0) {
@@ -79,7 +71,33 @@ std::uint64_t GuestMemory::page_digest(common::Gfn gfn) const {
   return digests_[gfn];
 }
 
+void GuestMemory::fill_digests(common::Gfn first, common::Gfn last) const {
+  if (first > last || last > pages_) {
+    throw std::out_of_range("GuestMemory::fill_digests");
+  }
+  std::array<common::Gfn, kPageDigestBatch> gfns;
+  std::array<const std::uint8_t*, kPageDigestBatch> frames;
+  std::array<std::uint64_t, kPageDigestBatch> digests;
+  std::size_t n = 0;
+  const auto flush = [&] {
+    page_bytes_digests({frames.data(), n}, {digests.data(), n});
+    for (std::size_t i = 0; i < n; ++i) {
+      digests_[gfns[i]] = digests[i];
+      digest_valid_[gfns[i]] = 1;
+    }
+    n = 0;
+  };
+  for (common::Gfn g = first; g < last; ++g) {
+    if (digest_valid_[g] != 0) continue;
+    gfns[n] = g;
+    frames[n] = frames_.data() + g * kPageSize;
+    if (++n == kPageDigestBatch) flush();
+  }
+  if (n > 0) flush();
+}
+
 std::uint64_t GuestMemory::full_digest() const {
+  fill_digests(0, pages_);
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (common::Gfn g = 0; g < pages_; ++g) {
     const std::uint64_t d = page_digest(g);

@@ -9,12 +9,15 @@
 // Page digests are cached: one FNV-1a digest plus one validity byte per page.
 // Entries start valid (fresh frames are zero), every mutator (write,
 // write_u64, install_page) drops its page's entry, and page_digest() refills
-// it on a miss. There is no writable page view, so no store can bypass the
-// invalidation: a cached digest always equals page_bytes_digest(page(gfn)).
+// it on a miss; fill_digests() refills every dropped entry of a gfn range in
+// batches through the lane-parallel kernel (hv/page_digest.h). There is no
+// writable page view, so no store can bypass the invalidation: a cached
+// digest always equals page_bytes_digest(page(gfn)).
 //
 // Threading contract: calls on *distinct* pages may run concurrently (each
-// page's cache entry is its own memory location). Calls on the *same* page —
-// page_digest included, since a miss fills the entry — must not race each
+// page's cache entry is its own memory location), and so may fill_digests()
+// on disjoint ranges. Calls on the *same* page — page_digest and
+// fill_digests included, since a miss fills the entry — must not race each
 // other or a mutator of that page.
 #pragma once
 
@@ -26,14 +29,10 @@
 
 #include "common/dirty_bitmap.h"
 #include "common/units.h"
+#include "hv/page_digest.h"
 #include "hv/pml_ring.h"
 
 namespace here::hv {
-
-// FNV-1a over one page's bytes: the digest behind GuestMemory::page_digest,
-// also used by the encoder for its primary-side content references.
-[[nodiscard]] std::uint64_t page_bytes_digest(
-    std::span<const std::uint8_t> page);
 
 class GuestMemory {
  public:
@@ -73,6 +72,13 @@ class GuestMemory {
   // FNV-1a fold of every page digest.
   [[nodiscard]] std::uint64_t page_digest(common::Gfn gfn) const;
   [[nodiscard]] std::uint64_t full_digest() const;
+
+  // Makes every cache entry in [first, last) valid, hashing the dropped ones
+  // kPageDigestBatch at a time. Callers about to read the digests of a whole
+  // range call this first, so the misses are hashed side by side instead of
+  // one byte-serial page at a time. Throws std::out_of_range unless
+  // first <= last <= pages().
+  void fill_digests(common::Gfn first, common::Gfn last) const;
 
   // --- Dirty tracking control (driven by the owning hypervisor) ------------
 

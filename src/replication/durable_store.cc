@@ -414,10 +414,10 @@ Expected<RecoveryResult> RecoveryManager::recover(
   staging.adopt_recovered((*snap).epoch);
   result.recovered_epoch = (*snap).epoch;
 
-  const DurableStore::Log log = store_.read_log();
+  DurableStore::Log log = store_.read_log();
   result.bytes_read += log.bytes_read;
   if (log.damaged_tail) ++result.wal_records_refused;
-  for (const WalRecord& record : log.records) {
+  for (WalRecord& record : log.records) {
     if (record.epoch <= staging.committed_epoch()) continue;  // pre-rotation
     if (record.epoch > up_to_epoch) break;  // point-in-time restore bound
     // Replay through the live verified-frame path: expectation + frame CRCs
@@ -430,13 +430,13 @@ Expected<RecoveryResult> RecoveryManager::recover(
     header.version = record.version;
     staging.expect_epoch(header);
     bool frames_ok = true;
-    for (const wire::RegionFrame& frame : record.frames) {
-      if (staging.receive_frame(frame) != FrameVerdict::kOk) {
+    for (wire::RegionFrame& frame : record.frames) {
+      if (staging.receive_frame(std::move(frame)) != FrameVerdict::kOk) {
         frames_ok = false;
         break;
       }
     }
-    if (frames_ok) staging.buffer_disk_writes(record.disk_writes);
+    if (frames_ok) staging.buffer_disk_writes(std::move(record.disk_writes));
     const Expected<std::uint64_t> applied =
         frames_ok ? staging.commit()
                   : Expected<std::uint64_t>(Status::data_loss(

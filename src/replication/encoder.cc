@@ -1,6 +1,7 @@
 #include "replication/encoder.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <iterator>
 #include <string>
@@ -179,6 +180,7 @@ void EncoderPipeline::baseline(const hv::GuestMemory& memory) {
   std::lock_guard lock(mu_);
   pending_.clear();
   if (config_.delta || config_.hash_skip) {
+    memory.fill_digests(0, pages_);
     for (common::Gfn g = 0; g < pages_; ++g) {
       committed_hash_[g] = memory.page_digest(g);
       has_ref_[g] = 1;
@@ -220,68 +222,93 @@ void EncoderPipeline::encode_region(const hv::GuestMemory& memory,
   std::vector<PendingPage> staged;
   if (track_refs) staged.reserve(frame.gfns.size());
   EncodeStats local;
-  for (const common::Gfn gfn : frame.gfns) {
-    const auto page = memory.page(gfn);
-    wire::PageMeta meta;
-    std::uint64_t hash = 0;
-    bool hashed = false;
-    bool encoded = false;
-    if (config_.zero_elide) {
-      ++work.zero_scans;
-      if (is_zero_page(page)) {
+  // Pages go kPageDigestBatch at a time: zero-scan the batch, hash its
+  // non-zero pages side by side, then decide each page in order. With
+  // references tracked every page needs its digest — for the skip test, and
+  // as the reference the replica will hold once the epoch commits (kSkip
+  // keeps the old one, which the skip test just proved equal).
+  static const std::uint64_t zero_page_digest =
+      hv::page_bytes_digest(std::vector<std::uint8_t>(kPageSize, 0));
+  const std::size_t count = frame.gfns.size();
+  for (std::size_t at = 0; at < count; at += hv::kPageDigestBatch) {
+    const std::size_t n = std::min(hv::kPageDigestBatch, count - at);
+    std::array<bool, hv::kPageDigestBatch> zero{};
+    std::array<std::uint64_t, hv::kPageDigestBatch> hashes{};
+    std::array<const std::uint8_t*, hv::kPageDigestBatch> to_hash{};
+    std::array<std::size_t, hv::kPageDigestBatch> hash_slot{};
+    std::size_t hashing = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto page = memory.page(frame.gfns[at + i]);
+      if (config_.zero_elide) {
+        ++work.zero_scans;
+        zero[i] = is_zero_page(page);
+      }
+      if (zero[i]) {
+        hashes[i] = zero_page_digest;
+      } else if (track_refs) {
+        to_hash[hashing] = page.data();
+        hash_slot[hashing++] = i;
+      }
+    }
+    std::array<std::uint64_t, hv::kPageDigestBatch> digests{};
+    hv::page_bytes_digests({to_hash.data(), hashing}, {digests.data(), hashing});
+    for (std::size_t k = 0; k < hashing; ++k) hashes[hash_slot[k]] = digests[k];
+
+    for (std::size_t i = 0; i < n; ++i) {
+      const common::Gfn gfn = frame.gfns[at + i];
+      const auto page = memory.page(gfn);
+      const std::uint64_t hash = hashes[i];
+      wire::PageMeta meta;
+      bool encoded = false;
+      if (zero[i]) {
         meta.enc = wire::PageEncoding::kZero;
         encoded = true;
         ++local.pages_zero;
       }
-    }
-    if (!encoded && track_refs && has_ref_[gfn] != 0) {
-      hash = hv::page_bytes_digest(page);
-      hashed = true;
-      ++work.hashes;
-      if (config_.hash_skip && hash == committed_hash_[gfn]) {
-        meta.enc = wire::PageEncoding::kSkip;
-        meta.aux = committed_hash_[gfn];
-        encoded = true;
-        ++local.pages_skipped;
-      } else if (config_.delta) {
-        // An LRU-evicted shadow means no base to delta against: fall
-        // through to raw (and pay no delta CPU).
-        if (const std::uint8_t* base_ptr = shadow_base(gfn);
-            base_ptr != nullptr) {
-          const std::span<const std::uint8_t> base{base_ptr, kPageSize};
-          std::vector<std::uint8_t> enc = xor_rle_encode(page, base);
-          ++work.delta_pages;
-          if (enc.size() < kPageSize) {
-            meta.enc = wire::PageEncoding::kDelta;
-            meta.aux = committed_hash_[gfn];
-            meta.length = static_cast<std::uint32_t>(enc.size());
-            frame.bytes.insert(frame.bytes.end(), enc.begin(), enc.end());
-            encoded = true;
-            ++local.pages_delta;
+      if (!encoded && track_refs && has_ref_[gfn] != 0) {
+        if (config_.hash_skip && hash == committed_hash_[gfn]) {
+          meta.enc = wire::PageEncoding::kSkip;
+          meta.aux = committed_hash_[gfn];
+          encoded = true;
+          ++local.pages_skipped;
+        } else if (config_.delta) {
+          // An LRU-evicted shadow means no base to delta against: fall
+          // through to raw (and pay no delta CPU).
+          if (const std::uint8_t* base_ptr = shadow_base(gfn);
+              base_ptr != nullptr) {
+            const std::span<const std::uint8_t> base{base_ptr, kPageSize};
+            std::vector<std::uint8_t> enc = xor_rle_encode(page, base);
+            ++work.delta_pages;
+            if (enc.size() < kPageSize) {
+              meta.enc = wire::PageEncoding::kDelta;
+              meta.aux = committed_hash_[gfn];
+              meta.length = static_cast<std::uint32_t>(enc.size());
+              frame.bytes.insert(frame.bytes.end(), enc.begin(), enc.end());
+              encoded = true;
+              ++local.pages_delta;
+            }
           }
         }
       }
-    }
-    if (!encoded) {
-      meta.enc = wire::PageEncoding::kRaw;
-      meta.length = static_cast<std::uint32_t>(kPageSize);
-      frame.bytes.insert(frame.bytes.end(), page.begin(), page.end());
-      ++local.pages_raw;
-      ++work.raw_pages;
-    }
-    frame.pages.push_back(meta);
-    ++local.pages_in;
-    if (track_refs) {
-      PendingPage p;
-      p.gfn = gfn;
-      // The committed content after this epoch lands is exactly what we just
-      // encoded; kSkip keeps the old reference, everything else re-hashes.
-      p.hash = meta.enc == wire::PageEncoding::kSkip ? committed_hash_[gfn]
-               : hashed ? hash
-                        : hv::page_bytes_digest(page);
-      if (!hashed && meta.enc != wire::PageEncoding::kSkip) ++work.hashes;
-      if (config_.delta) p.content.assign(page.begin(), page.end());
-      staged.push_back(std::move(p));
+      if (!encoded) {
+        meta.enc = wire::PageEncoding::kRaw;
+        meta.length = static_cast<std::uint32_t>(kPageSize);
+        frame.bytes.insert(frame.bytes.end(), page.begin(), page.end());
+        ++local.pages_raw;
+        ++work.raw_pages;
+      }
+      frame.pages.push_back(meta);
+      ++local.pages_in;
+      if (track_refs) {
+        // One digest per page, wherever it was taken (the cost model
+        // prices exactly that).
+        ++work.hashes;
+        PendingPage p;
+        p.gfn = gfn;
+        p.hash = hash;
+        if (config_.delta) p.content.assign(page.begin(), page.end());
+        staged.push_back(std::move(p));
+      }
     }
   }
   local.bytes_in = frame.gfns.size() * kPageSize;

@@ -527,6 +527,8 @@ bool ReplicationEngine::try_delta_seed() {
   const std::uint64_t pages = vm_->memory().pages();
   const std::uint64_t scale = vm_->spec().model_scale;
   std::uint64_t divergent = 0;
+  vm_->memory().fill_digests(0, pages);
+  staging_->memory().fill_digests(0, pages);
   for (common::Gfn g = 0; g < pages; ++g) {
     if (vm_->memory().page_digest(g) == staging_->memory().page_digest(g)) {
       continue;
@@ -809,6 +811,7 @@ void ReplicationEngine::run_checkpoint() {
   const EpochTransfer transfer = transmit_epoch(capture.frames);
   const EpochCost cost = price_epoch(capture, encoding, transfer, link);
   epoch.pages = capture.pages;
+  epoch.threads = capture.threads;
   epoch.pause = cost.pause;
   epoch.background = cost.background;
 
@@ -1007,8 +1010,9 @@ ReplicationEngine::EpochTransfer ReplicationEngine::transmit_epoch(
   const net::NodeId src = primary_.ic_node();
   const net::NodeId dst = secondary_.ic_node();
 
-  auto offer = [&](const wire::RegionFrame& rx, bool count) {
-    if (staging_->receive_frame(rx) == FrameVerdict::kCorrupt && count) {
+  auto offer = [&](wire::RegionFrame rx, bool count) {
+    if (staging_->receive_frame(std::move(rx)) == FrameVerdict::kCorrupt &&
+        count) {
       saw_corruption = true;
       ++stats_.regions_corrupted;
       if (m_regions_corrupted_ != nullptr) m_regions_corrupted_->add(1);
@@ -1028,10 +1032,15 @@ ReplicationEngine::EpochTransfer ReplicationEngine::transmit_epoch(
       late.push_back(std::move(rx));
       continue;
     }
-    offer(rx, /*count=*/true);
-    if (fate.duplicated) offer(rx, /*count=*/false);
+    if (fate.duplicated) {
+      wire::RegionFrame dup = rx;
+      offer(std::move(rx), /*count=*/true);
+      offer(std::move(dup), /*count=*/false);
+      continue;
+    }
+    offer(std::move(rx), /*count=*/true);
   }
-  for (const wire::RegionFrame& rx : late) offer(rx, /*count=*/true);
+  for (wire::RegionFrame& rx : late) offer(std::move(rx), /*count=*/true);
 
   // NACK loop: re-ship only the corrupt regions' pristine frames, up to the
   // budget. A retransmit crosses the same impaired wire, so it can corrupt
@@ -1058,7 +1067,8 @@ ReplicationEngine::EpochTransfer ReplicationEngine::transmit_epoch(
       const net::FrameFate fate = fabric_.transmit_frame(src, dst, rx.bytes);
       if (fate.lost) continue;
       if (fate.truncated) rx.bytes.resize(fate.delivered_bytes);
-      offer(rx, /*count=*/false);  // kOk repairs; kCorrupt re-marks
+      // kOk repairs; kCorrupt re-marks.
+      offer(std::move(rx), /*count=*/false);
     }
   }
   transfer.retransmits_exhausted = !staging_->corrupt_regions().empty();
@@ -1363,12 +1373,13 @@ void ReplicationEngine::finish_checkpoint(const EpochInFlight& epoch) {
   epoch_start_captured_ = captured_now;
   if (config_.tracer != nullptr) {
     // Algorithm 1's decision with its inputs (t, N, P) and output (next T).
+    // P is the pool's grant the epoch ran on, not the requested count.
     config_.tracer->instant(
         sim_.now(), "period.decide", "period",
         {{"epoch", record.epoch},
          {"t_pause_ns", record.pause.count()},
          {"dirty_pages", record.dirty_pages_model},
-         {"threads", threads()},
+         {"threads", epoch.threads},
          {"degradation", period_.last_degradation()},
          {"t_next_ns", period_.current().count()},
          {"t_max_ns", config_.period.t_max.count()}});
@@ -1781,6 +1792,8 @@ void ReplicationEngine::on_secondary_rebooted() {
         const common::Gfn last =
             std::min<common::Gfn>(first + kPagesPerRegion, pages);
         digest_pages += last - first;
+        vm_->memory().fill_digests(first, last);
+        staging_->memory().fill_digests(first, last);
         for (common::Gfn g = first; g < last; ++g) {
           if (vm_->memory().page_digest(g) !=
               staging_->memory().page_digest(g)) {

@@ -448,7 +448,8 @@ class ReplicationEngine {
   // A priced epoch waiting for its pause (and background transfer) to end.
   struct EpochInFlight {
     std::uint64_t epoch = 0;
-    std::uint64_t pages = 0;  // real pages captured
+    std::uint64_t pages = 0;    // real pages captured
+    std::uint32_t threads = 1;  // migrator threads granted (P)
     sim::Duration period_used{};
     sim::Duration pause{};
     sim::Duration background{};

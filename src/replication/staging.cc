@@ -64,7 +64,7 @@ void ReplicaStaging::expect_epoch(const wire::EpochHeader& header) {
   expected_ = header;
 }
 
-FrameVerdict ReplicaStaging::receive_frame(const wire::RegionFrame& frame) {
+FrameVerdict ReplicaStaging::receive_frame(wire::RegionFrame frame) {
   std::lock_guard lock(commit_mu_);
   if (frame.epoch != open_epoch_) return FrameVerdict::kWrongEpoch;
   if (frames_.contains(frame.seq)) return FrameVerdict::kDuplicate;
@@ -81,7 +81,8 @@ FrameVerdict ReplicaStaging::receive_frame(const wire::RegionFrame& frame) {
     return FrameVerdict::kCorrupt;
   }
   corrupt_regions_.erase(frame.region);
-  frames_.emplace(frame.seq, frame);
+  const std::uint64_t seq = frame.seq;
+  frames_.emplace(seq, std::move(frame));
   return FrameVerdict::kOk;
 }
 
@@ -110,6 +111,7 @@ std::uint64_t ReplicaStaging::live_region_digest(std::uint32_t region) const {
   const std::uint64_t first = std::uint64_t{region} * common::kPagesPerRegion;
   const std::uint64_t last =
       std::min(first + common::kPagesPerRegion, spec_.pages);
+  memory_.fill_digests(first, last);
   for (std::uint64_t gfn = first; gfn < last; ++gfn) {
     std::uint64_t d = memory_.page_digest(common::Gfn{gfn});
     for (int i = 0; i < 8; ++i) {
@@ -173,10 +175,11 @@ Expected<std::uint64_t> ReplicaStaging::commit() {
     }
     decoded.emplace(seq, std::move(*d));
   }
-  // Durable capture: the verified frames, epoch header and disk writes are
-  // consumed by the apply below, so copy them out first. Only the verified
-  // frame path can be re-described as a WAL record; commits that carry
-  // worker-buffered pages (seeding, legacy path) persist as full snapshots.
+  // Durable capture: the epoch header is reset by the apply below, so take
+  // it now; the verified frames and disk writes move into the record once
+  // they are applied. Only the verified frame path can be re-described as a
+  // WAL record; commits that carry worker-buffered pages (seeding, legacy
+  // path) persist as full snapshots.
   bool worker_pages = false;
   for (const auto& b : buffers_) worker_pages |= !b.gfns.empty();
   const bool log_epoch =
@@ -186,11 +189,6 @@ Expected<std::uint64_t> ReplicaStaging::commit() {
     durable_record.epoch = open_epoch_;
     durable_record.version = expected_.version;
     durable_record.header_digest = expected_.digest;
-    durable_record.frames.reserve(frames_.size());
-    for (const auto& [seq, frame] : frames_) {
-      durable_record.frames.push_back(frame);
-    }
-    durable_record.disk_writes = pending_disk_writes_;
   }
   std::uint64_t applied = 0;
   std::set<std::uint32_t> touched;
@@ -218,10 +216,17 @@ Expected<std::uint64_t> ReplicaStaging::commit() {
     }
     touched.insert(frame.region);
   }
+  if (log_epoch) {
+    durable_record.frames.reserve(frames_.size());
+    for (auto& [seq, frame] : frames_) {
+      durable_record.frames.push_back(std::move(frame));
+    }
+  }
   frames_.clear();
   expectation_armed_ = false;
   expected_ = {};
   for (const auto& write : pending_disk_writes_) disk_.apply(write);
+  if (log_epoch) durable_record.disk_writes = std::move(pending_disk_writes_);
   pending_disk_writes_.clear();
   if (pending_state_) committed_state_ = std::move(pending_state_);
   if (pending_program_) committed_program_ = std::move(pending_program_);

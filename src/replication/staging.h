@@ -100,8 +100,9 @@ class ReplicaStaging {
 
   // Verifies and buffers one frame. A corrupt frame marks its region for
   // selective retransmission; a later intact frame with the same seq repairs
-  // it (returns kOk).
-  FrameVerdict receive_frame(const wire::RegionFrame& frame);
+  // it (returns kOk). Takes the frame by value: callers that are done with
+  // theirs move it in, so a verified frame is buffered without a copy.
+  FrameVerdict receive_frame(wire::RegionFrame frame);
 
   // Regions whose frames failed verification and have not yet been repaired
   // (the NACK set the primary retransmits from).

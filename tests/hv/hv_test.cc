@@ -69,7 +69,7 @@ TEST(GuestMemory, CachedDigestsMatchRecomputedUnderRandomMutation) {
   for (int step = 0; step < 20000; ++step) {
     const common::Gfn g = rng.uniform(kPages);
     const auto vcpu = static_cast<std::uint32_t>(rng.uniform(2));
-    switch (rng.uniform(6)) {
+    switch (rng.uniform(7)) {
       case 0: {
         std::vector<std::uint8_t> bytes(1 + rng.uniform(64));
         for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform(256));
@@ -100,6 +100,19 @@ TEST(GuestMemory, CachedDigestsMatchRecomputedUnderRandomMutation) {
         ASSERT_EQ(mem.page_digest(g), page_bytes_digest(mem.page(g)))
             << "gfn " << g << " at step " << step;
         break;
+      case 5: {
+        // Batched refill of a random sub-range; the entries outside it stay
+        // as they were (dropped or valid) and are checked later.
+        const common::Gfn first = rng.uniform(kPages + 1);
+        const common::Gfn last = first + rng.uniform(kPages - first + 1);
+        mem.fill_digests(first, last);
+        for (common::Gfn p = first; p < last; ++p) {
+          ASSERT_EQ(mem.page_digest(p), page_bytes_digest(mem.page(p)))
+              << "gfn " << p << " filled over [" << first << ", " << last
+              << ") at step " << step;
+        }
+        break;
+      }
       default:
         ASSERT_EQ(mem.full_digest(), fresh_full_digest()) << "step " << step;
         break;

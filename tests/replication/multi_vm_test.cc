@@ -1,7 +1,10 @@
 // Several protected VMs sharing one host pair: one engine per VM, shared
-// heartbeat fabric, independent failover — plus KVM ioctl accounting, and
-// the equivalence of an engine's own migrator pool with an explicit one.
+// heartbeat fabric, independent failover — plus KVM ioctl accounting, the
+// equivalence of an engine's own migrator pool with an explicit one, and
+// the traced P of engines contending for one pool.
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "kvmsim/kvm_hypervisor.h"
 #include "obs/trace.h"
@@ -205,6 +208,84 @@ TEST(MigratorPoolEquivalence, HereWithEncodersOwnPoolMatchesExplicitPool) {
 TEST(MigratorPoolEquivalence, RemusOwnPoolMatchesExplicitPool) {
   expect_same_run(run_traced(EngineMode::kRemus, EncoderConfig{}, false),
                   run_traced(EngineMode::kRemus, EncoderConfig{}, true));
+}
+
+std::uint64_t arg_u64(const obs::TraceEvent& event, std::string_view key) {
+  for (const auto& [k, v] : event.args) {
+    if (k == key) return v.as_uint64();
+  }
+  ADD_FAILURE() << event.name << " has no arg " << key;
+  return 0;
+}
+
+// Two engines contending for one two-worker pool, each asking for both
+// workers: every period.decide must report the P its epoch ran on — the
+// grant its ckpt.pause carries — not the count the engine requested.
+TEST(MigratorPoolContention, PeriodDecideTracesTheGrantedThreads) {
+  constexpr std::uint32_t kRequested = 2;
+  sim::Simulation sim;
+  net::Fabric fabric{sim};
+  sim::Rng root(99);
+  hv::Host primary("xen-a", fabric,
+                   std::make_unique<xen::XenHypervisor>(sim, root.fork()));
+  hv::Host secondary("kvm-b", fabric,
+                     std::make_unique<kvm::KvmHypervisor>(sim, root.fork()));
+  fabric.connect(primary.ic_node(), secondary.ic_node(),
+                 sim::grid5000_host().interconnect);
+  MigratorPool pool(sim, kRequested);
+
+  std::vector<std::unique_ptr<obs::RingBufferRecorder>> recorders;
+  std::vector<std::unique_ptr<obs::Tracer>> tracers;
+  std::vector<std::unique_ptr<ReplicationEngine>> engines;
+  for (int i = 0; i < 2; ++i) {
+    recorders.push_back(std::make_unique<obs::RingBufferRecorder>(1u << 18));
+    tracers.push_back(std::make_unique<obs::Tracer>(recorders.back().get()));
+    ReplicationConfig config;
+    config.mode = EngineMode::kHere;
+    config.checkpoint_threads = kRequested;
+    config.period.t_max = sim::from_millis(150);
+    config.tracer = tracers.back().get();
+    EngineEnv env;
+    env.migrator_pool = &pool;
+    engines.push_back(std::make_unique<ReplicationEngine>(
+        sim, fabric, primary, secondary, config, env));
+    hv::Vm& vm = primary.hypervisor().create_vm(
+        hv::make_vm_spec("vm" + std::to_string(i), 2, 64ULL << 20));
+    vm.attach_program(
+        std::make_unique<wl::SyntheticProgram>(wl::memory_microbench(40)));
+    primary.hypervisor().start(vm);
+    ASSERT_TRUE(engines.back()->start_protection(vm).ok());
+  }
+  const sim::TimePoint deadline = sim.now() + sim::from_seconds(600);
+  while (sim.now() < deadline &&
+         !(engines[0]->seeded() && engines[1]->seeded())) {
+    sim.run_for(sim::from_millis(50));
+  }
+  ASSERT_TRUE(engines[0]->seeded() && engines[1]->seeded());
+  sim.run_for(sim::from_seconds(6));
+
+  std::uint64_t decisions = 0;
+  std::uint64_t short_grants = 0;
+  for (const auto& recorder : recorders) {
+    ASSERT_EQ(recorder->overwritten(), 0u) << "ring too small";
+    std::map<std::uint64_t, std::uint64_t> paused_with;  // epoch -> grant
+    for (const obs::TraceEvent& event : recorder->snapshot()) {
+      if (event.name == "ckpt.pause") {
+        const std::uint64_t threads = arg_u64(event, "threads");
+        paused_with[arg_u64(event, "epoch")] = threads;
+        if (threads < kRequested) ++short_grants;
+      } else if (event.name == "period.decide") {
+        const std::uint64_t epoch = arg_u64(event, "epoch");
+        ASSERT_TRUE(paused_with.contains(epoch)) << "epoch " << epoch;
+        EXPECT_EQ(arg_u64(event, "threads"), paused_with[epoch])
+            << "epoch " << epoch;
+        ++decisions;
+      }
+    }
+  }
+  EXPECT_GT(decisions, 10u);
+  // The scenario must actually contend, or the check above proves nothing.
+  EXPECT_GT(short_grants, 0u);
 }
 
 }  // namespace
