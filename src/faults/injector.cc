@@ -12,11 +12,11 @@ namespace here::faults {
 FaultInjector::FaultInjector(sim::Simulation& simulation, net::Fabric& fabric,
                              obs::Tracer* tracer,
                              obs::MetricsRegistry* metrics)
-    : sim_(simulation), fabric_(fabric), tracer_(tracer) {
-  if (metrics != nullptr) {
-    m_injected_ = &metrics->counter("faults.injected");
-  }
-}
+    : sim_(simulation),
+      fabric_(fabric),
+      tracer_(tracer != nullptr ? *tracer : obs::Tracer::none()),
+      m_injected_((metrics != nullptr ? *metrics : own_metrics_)
+                      .counter("faults.injected")) {}
 
 void FaultInjector::register_host(std::string name, hv::Host& host) {
   hosts_.emplace_back(std::move(name), &host);
@@ -281,14 +281,11 @@ void FaultInjector::clear(const FaultSpec& spec) {
 
 void FaultInjector::record(const FaultSpec& spec, bool clear) {
   log_.push_back({spec, sim_.now(), clear});
-  if (m_injected_ != nullptr && !clear) m_injected_->increment();
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->instant(sim_.now(), clear ? "fault.clear" : "fault.inject",
-                     "faults",
-                     {{"type", std::string(to_string(spec.type))},
-                      {"target", spec.target},
-                      {"magnitude", spec.magnitude}});
-  }
+  if (!clear) m_injected_.increment();
+  tracer_.instant(sim_.now(), clear ? "fault.clear" : "fault.inject", "faults",
+                  {{"type", std::string(to_string(spec.type))},
+                   {"target", spec.target},
+                   {"magnitude", spec.magnitude}});
 }
 
 }  // namespace here::faults

@@ -85,8 +85,11 @@ class FaultInjector {
 
   sim::Simulation& sim_;
   net::Fabric& fabric_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::Counter* m_injected_ = nullptr;
+  // The borrowed tracer, else obs::Tracer::none().
+  const obs::Tracer& tracer_;
+  // Holds faults.injected when no registry was borrowed.
+  obs::MetricsRegistry own_metrics_;
+  obs::Counter& m_injected_;
 
   std::vector<std::pair<std::string, hv::Host*>> hosts_;
   std::vector<Link> links_;

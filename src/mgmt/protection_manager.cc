@@ -624,7 +624,7 @@ Expected<ProtectionManager::RestoreReport> ProtectionManager::restore_to_epoch(
   // Replay into a throwaway staging area sized like the protected VM; the
   // live engine, its staging and the store itself are all left untouched
   // (RecoveryManager only reads).
-  rep::ReplicaStaging staging(protection->vm->spec(), 1);
+  rep::ReplicaStaging staging(protection->vm->spec());
   rep::RecoveryManager recovery(*store);
   Expected<rep::RecoveryResult> result = recovery.recover(staging, epoch);
   if (!result.ok()) return result.status();

@@ -32,10 +32,15 @@ void RingBufferRecorder::clear() {
   total_ = 0;
 }
 
+const Tracer& Tracer::none() {
+  static const Tracer tracer;
+  return tracer;
+}
+
 void Tracer::emit(sim::TimePoint t, sim::Duration duration, TracePhase phase,
                   std::uint32_t tid, std::string_view name,
                   std::string_view category,
-                  std::initializer_list<TraceArg> args) {
+                  std::initializer_list<TraceArg> args) const {
   TraceEvent e;
   e.ts_ns = t.ns();
   e.dur_ns = duration.count();
@@ -50,21 +55,22 @@ void Tracer::emit(sim::TimePoint t, sim::Duration duration, TracePhase phase,
 
 void Tracer::instant(sim::TimePoint t, std::string_view name,
                      std::string_view category,
-                     std::initializer_list<TraceArg> args) {
+                     std::initializer_list<TraceArg> args) const {
   if (sink_ == nullptr) return;
   emit(t, sim::Duration{0}, TracePhase::kInstant, 0, name, category, args);
 }
 
 void Tracer::complete(sim::TimePoint start, sim::Duration duration,
                       std::string_view name, std::string_view category,
-                      std::uint32_t tid, std::initializer_list<TraceArg> args) {
+                      std::uint32_t tid,
+                      std::initializer_list<TraceArg> args) const {
   if (sink_ == nullptr) return;
   emit(start, duration, TracePhase::kComplete, tid, name, category, args);
 }
 
 void Tracer::counter(sim::TimePoint t, std::string_view name,
                      std::string_view category,
-                     std::initializer_list<TraceArg> args) {
+                     std::initializer_list<TraceArg> args) const {
   if (sink_ == nullptr) return;
   emit(t, sim::Duration{0}, TracePhase::kCounter, 0, name, category, args);
 }

@@ -4,7 +4,8 @@
 // copies, seeding rounds), instants (epoch commits, packet releases,
 // failover milestones) and counters through a `Tracer`. A null sink makes
 // every emission a two-instruction no-op, so instrumentation can stay in the
-// hot paths permanently.
+// hot paths permanently. Components that borrow an optional tracer resolve it
+// once against `Tracer::none()` and then emit unconditionally.
 //
 // Because the simulation is deterministic, a trace is a *testable artifact*:
 // two runs from the same seed must produce byte-identical exports, and every
@@ -106,31 +107,38 @@ class RingBufferRecorder final : public TraceSink {
 
 // The emission front-end handed to instrumented components. Copyable-cheap
 // facade over an unowned sink; all costs vanish when no sink is attached.
+// Emitting does not change the tracer, so components hold it by const
+// reference (never by copy: the owner may attach the sink later).
 class Tracer {
  public:
   explicit Tracer(TraceSink* sink = nullptr) : sink_(sink) {}
+
+  // The shared sink-less tracer: what a component uses when it was given no
+  // tracer at all.
+  [[nodiscard]] static const Tracer& none();
 
   void set_sink(TraceSink* sink) { sink_ = sink; }
   [[nodiscard]] bool enabled() const { return sink_ != nullptr; }
 
   void instant(sim::TimePoint t, std::string_view name,
                std::string_view category,
-               std::initializer_list<TraceArg> args = {});
+               std::initializer_list<TraceArg> args = {}) const;
 
   // A span covering [start, start + duration); `tid` distinguishes
   // per-thread lanes (migrator worker index).
   void complete(sim::TimePoint start, sim::Duration duration,
                 std::string_view name, std::string_view category,
                 std::uint32_t tid = 0,
-                std::initializer_list<TraceArg> args = {});
+                std::initializer_list<TraceArg> args = {}) const;
 
   void counter(sim::TimePoint t, std::string_view name,
-               std::string_view category, std::initializer_list<TraceArg> args);
+               std::string_view category,
+               std::initializer_list<TraceArg> args) const;
 
  private:
   void emit(sim::TimePoint t, sim::Duration duration, TracePhase phase,
             std::uint32_t tid, std::string_view name, std::string_view category,
-            std::initializer_list<TraceArg> args);
+            std::initializer_list<TraceArg> args) const;
 
   TraceSink* sink_;
 };

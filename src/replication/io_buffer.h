@@ -64,6 +64,7 @@ class OutboundBuffer {
   std::uint64_t pending_bytes_ = 0;
   sim::Histogram delay_ms_;
 
+  // Per-packet emitters: null guards spare untraced runs the args/histograms.
   obs::Tracer* tracer_ = nullptr;
   obs::Counter* m_captured_ = nullptr;
   obs::Counter* m_released_ = nullptr;

@@ -10,13 +10,15 @@ namespace here::rep {
 
 Migrator::Migrator(sim::Simulation& simulation, const TimeModel& model,
                    common::ThreadPool& pool, hv::Host& source,
-                   hv::Host& destination, SeedConfig seed_config)
+                   hv::Host& destination, SeedConfig seed_config,
+                   const obs::Tracer* tracer)
     : sim_(simulation),
       model_(model),
       pool_(pool),
       source_(source),
       destination_(destination),
-      seed_config_(seed_config) {
+      seed_config_(seed_config),
+      tracer_(tracer != nullptr ? *tracer : obs::Tracer::none()) {
   // PML-based multithreaded seeding needs the source's per-vCPU rings;
   // other sources fall back to bitmap seeding.
   if (seed_config_.mode == SeedMode::kHereMultithreaded &&
@@ -37,16 +39,12 @@ void Migrator::migrate(hv::Vm& vm, DoneFn done) {
         destination_.hypervisor().default_cpuid());
   }
 
-  if (tracer_ != nullptr) {
-    tracer_->instant(sim_.now(), "migrate.start", "migrate",
-                     {{"vm", vm.spec().name},
-                      {"src", source_.name()},
-                      {"dst", destination_.name()}});
-  }
+  tracer_.instant(sim_.now(), "migrate.start", "migrate",
+                  {{"vm", vm.spec().name},
+                   {"src", source_.name()},
+                   {"dst", destination_.name()}});
 
-  staging_ = std::make_unique<ReplicaStaging>(
-      vm.spec(),
-      seed_config_.mode == SeedMode::kHereMultithreaded ? vm.spec().vcpus : 1);
+  staging_ = std::make_unique<ReplicaStaging>(vm.spec());
   seeder_ = std::make_unique<Seeder>(sim_, model_, pool_,
                                      source_.hypervisor(), vm, *staging_,
                                      seed_config_, tracer_);
@@ -111,12 +109,10 @@ void Migrator::activate_on_destination() {
     HERE_LOG(kInfo, "migration done in %s (downtime %s)",
              sim::format_duration(result_.total_time).c_str(),
              sim::format_duration(result_.downtime).c_str());
-    if (tracer_ != nullptr) {
-      tracer_->instant(sim_.now(), "migrate.done", "migrate",
-                       {{"total_ns", result_.total_time.count()},
-                        {"downtime_ns", result_.downtime.count()},
-                        {"translated", result_.translated}});
-    }
+    tracer_.instant(sim_.now(), "migrate.done", "migrate",
+                    {{"total_ns", result_.total_time.count()},
+                     {"downtime_ns", result_.downtime.count()},
+                     {"translated", result_.translated}});
     if (done_) done_(result_);
   }, "migrate-activate");
 }

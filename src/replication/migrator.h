@@ -27,14 +27,12 @@ class Migrator {
  public:
   using DoneFn = std::function<void(const MigrationResult&)>;
 
+  // Optional observability: `tracer` (borrowed, may be null) receives
+  // migrate.start/migrate.done instants plus the underlying Seeder's "seed"
+  // spans.
   Migrator(sim::Simulation& simulation, const TimeModel& model,
            common::ThreadPool& pool, hv::Host& source, hv::Host& destination,
-           SeedConfig seed_config);
-
-  // Optional observability: the tracer (borrowed, may be null) receives
-  // migrate.start/migrate.done instants plus the underlying Seeder's "seed"
-  // spans. Must be set before migrate().
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
+           SeedConfig seed_config, const obs::Tracer* tracer = nullptr);
 
   // Migrates `vm` (owned by the source host's hypervisor; any kind). On
   // completion the source VM is destroyed and the destination VM is running.
@@ -59,7 +57,7 @@ class Migrator {
   hv::Host& source_;
   hv::Host& destination_;
   SeedConfig seed_config_;
-  obs::Tracer* tracer_ = nullptr;
+  const obs::Tracer& tracer_;
 
   hv::Vm* vm_ = nullptr;
   hv::Vm* dest_vm_ = nullptr;

@@ -6,7 +6,9 @@
 namespace here::rep {
 
 MigratorPool::MigratorPool(sim::Simulation& simulation, std::uint32_t workers)
-    : sim_(simulation), pool_(std::max<std::uint32_t>(1, workers)) {}
+    : sim_(simulation), pool_(std::max<std::uint32_t>(1, workers)) {
+  attach_obs(nullptr);
+}
 
 MigratorPool::ClientId MigratorPool::register_client(
     std::string tag, std::uint32_t requested_threads, double weight) {
@@ -56,11 +58,9 @@ MigratorPool::Grant MigratorPool::begin_burst(ClientId client) {
   }
   peak_contending_ = std::max(peak_contending_, contending);
 
-  if (m_bursts_ != nullptr) {
-    m_bursts_->add(1);
-    if (contending > 1) m_contended_->add(1);
-    m_grant_threads_->add(static_cast<double>(grant.threads));
-  }
+  m_bursts_->add(1);
+  if (contending > 1) m_contended_->add(1);
+  m_grant_threads_->add(static_cast<double>(grant.threads));
   return grant;
 }
 
@@ -102,11 +102,11 @@ MigratorPool::ClientStats MigratorPool::client_stats(ClientId client) const {
 }
 
 void MigratorPool::attach_obs(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) return;
-  m_bursts_ = &metrics->counter("pool.bursts");
-  m_contended_ = &metrics->counter("pool.contended_bursts");
-  m_grant_threads_ = &metrics->histogram("pool.grant_threads",
-                                         {1, 2, 3, 4, 6, 8, 12, 16});
+  obs::MetricsRegistry& m = metrics != nullptr ? *metrics : own_metrics_;
+  m_bursts_ = &m.counter("pool.bursts");
+  m_contended_ = &m.counter("pool.contended_bursts");
+  m_grant_threads_ =
+      &m.histogram("pool.grant_threads", {1, 2, 3, 4, 6, 8, 12, 16});
 }
 
 }  // namespace here::rep

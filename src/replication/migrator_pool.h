@@ -117,7 +117,8 @@ class MigratorPool {
 
   // Borrowed metrics registry (may be null; must outlive the pool). Keeps
   // pool.bursts / pool.contended_bursts counters and a pool.grant_threads
-  // histogram.
+  // histogram. Until a registry is attached (or with null) the instruments
+  // live in a private registry nobody reads.
   void attach_obs(obs::MetricsRegistry* metrics);
 
  private:
@@ -136,6 +137,8 @@ class MigratorPool {
   mutable common::RankedMutex mu_{common::LockRank::kMigratorSched,
                                   "rep.migrator_sched"};
 
+  // Instruments, never null: in the attached registry, else in own_metrics_.
+  obs::MetricsRegistry own_metrics_;
   obs::Counter* m_bursts_ = nullptr;
   obs::Counter* m_contended_ = nullptr;
   obs::FixedHistogram* m_grant_threads_ = nullptr;

@@ -125,6 +125,8 @@ ReplicationEngine::ReplicationEngine(sim::Simulation& simulation,
       secondary_(secondary),
       config_(validated(std::move(config))),
       env_(env),
+      tracer_(config_.tracer != nullptr ? *config_.tracer
+                                        : obs::Tracer::none()),
       model_(config_.time_model),
       owned_pool_(env_.migrator_pool == nullptr
                       ? std::make_unique<MigratorPool>(simulation, threads())
@@ -146,56 +148,58 @@ ReplicationEngine::ReplicationEngine(sim::Simulation& simulation,
       !primary_.hypervisor().supports_pml_rings()) {
     config_.seed.mode = SeedMode::kXenDefault;
   }
-  if (config_.metrics != nullptr) {
-    obs::MetricsRegistry& m = *config_.metrics;
-    m_epochs_ = &m.counter("rep.epochs_committed");
-    m_dirty_pages_ = &m.counter("rep.dirty_pages_total");
-    m_bytes_ = &m.counter("rep.bytes_total");
-    m_heartbeats_ = &m.counter("rep.heartbeats_sent");
-    m_seed_retries_ = &m.counter("rep.seed_retries");
-    m_epochs_aborted_ = &m.counter("rep.epochs_aborted");
-    m_failovers_fenced_ = &m.counter("rep.failovers_fenced");
-    m_resume_probes_ = &m.counter("rep.resume_probes");
-    m_primary_demotions_ = &m.counter("rep.primary_demotions");
-    m_regions_corrupted_ = &m.counter("rep.regions_corrupted");
-    m_retransmits_ = &m.counter("rep.retransmits");
-    m_commits_rejected_ = &m.counter("rep.commits_rejected");
-    m_scrub_runs_ = &m.counter("rep.scrub_runs");
-    m_scrub_repairs_ = &m.counter("rep.scrub_repairs");
-    if (config_.encoders.any()) {
-      m_enc_bytes_in_ = &m.counter("rep.enc_bytes_in");
-      m_enc_bytes_out_ = &m.counter("rep.enc_bytes_out");
-      m_enc_pages_zero_ = &m.counter("rep.enc_pages_zero");
-      m_enc_pages_delta_ = &m.counter("rep.enc_pages_delta");
-      m_enc_pages_skipped_ = &m.counter("rep.enc_pages_skipped");
-    }
-    if (env_.durable_store != nullptr) {
-      m_wal_appends_ = &m.counter("rep.wal_appends");
-      m_wal_replays_ = &m.counter("rep.wal_replays");
-      m_resync_regions_ = &m.counter("rep.resync_regions");
-      m_rejoin_ms_ = &m.histogram(
-          "rep.rejoin_ms",
-          {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000});
-    }
-    m_pause_ms_ = &m.histogram(
-        "rep.pause_ms",
-        {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000});
-    m_degradation_pct_ = &m.histogram(
-        "rep.degradation_pct", {1, 2, 5, 10, 15, 20, 30, 40, 50, 75, 90, 100});
-    m_mttr_ms_ = &m.histogram(
-        "rep.mttr_ms", {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
-    m_period_s_ = &m.gauge("rep.period_s");
-  }
+  // Registration order is the snapshot order of a shared registry.
+  obs::MetricsRegistry& m =
+      config_.metrics != nullptr ? *config_.metrics : own_metrics_;
+  obs::MetricsRegistry& enc = config_.encoders.any() ? m : own_metrics_;
+  obs::MetricsRegistry& durable =
+      env_.durable_store != nullptr ? m : own_metrics_;
+  m_epochs_ = &m.counter("rep.epochs_committed");
+  m_dirty_pages_ = &m.counter("rep.dirty_pages_total");
+  m_bytes_ = &m.counter("rep.bytes_total");
+  m_heartbeats_ = &m.counter("rep.heartbeats_sent");
+  m_seed_retries_ = &m.counter("rep.seed_retries");
+  m_epochs_aborted_ = &m.counter("rep.epochs_aborted");
+  m_failovers_fenced_ = &m.counter("rep.failovers_fenced");
+  m_resume_probes_ = &m.counter("rep.resume_probes");
+  m_primary_demotions_ = &m.counter("rep.primary_demotions");
+  m_regions_corrupted_ = &m.counter("rep.regions_corrupted");
+  m_retransmits_ = &m.counter("rep.retransmits");
+  m_commits_rejected_ = &m.counter("rep.commits_rejected");
+  m_scrub_runs_ = &m.counter("rep.scrub_runs");
+  m_scrub_repairs_ = &m.counter("rep.scrub_repairs");
+  m_enc_bytes_in_ = &enc.counter("rep.enc_bytes_in");
+  m_enc_bytes_out_ = &enc.counter("rep.enc_bytes_out");
+  m_enc_pages_zero_ = &enc.counter("rep.enc_pages_zero");
+  m_enc_pages_delta_ = &enc.counter("rep.enc_pages_delta");
+  m_enc_pages_skipped_ = &enc.counter("rep.enc_pages_skipped");
+  m_wal_appends_ = &durable.counter("rep.wal_appends");
+  m_wal_replays_ = &durable.counter("rep.wal_replays");
+  m_resync_regions_ = &durable.counter("rep.resync_regions");
+  m_rejoin_ms_ = &durable.histogram(
+      "rep.rejoin_ms",
+      {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000});
+  m_pause_ms_ = &m.histogram(
+      "rep.pause_ms",
+      {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000});
+  m_degradation_pct_ = &m.histogram(
+      "rep.degradation_pct", {1, 2, 5, 10, 15, 20, 30, 40, 50, 75, 90, 100});
+  m_mttr_ms_ = &m.histogram(
+      "rep.mttr_ms", {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
+  m_period_s_ = &m.gauge("rep.period_s");
   outbound_.attach_obs(config_.tracer, config_.metrics);
 }
 
-ReplicationEngine::~ReplicationEngine() {
+ReplicationEngine::~ReplicationEngine() { cancel_events(); }
+
+void ReplicationEngine::cancel_events() {
   sim_.cancel(checkpoint_event_);
   sim_.cancel(checkpoint_finish_event_);
   sim_.cancel(heartbeat_event_);
   sim_.cancel(watchdog_event_);
   sim_.cancel(seed_deadline_event_);
   sim_.cancel(seed_retry_event_);
+  sim_.cancel(seed_commit_event_);
   sim_.cancel(probe_event_);
   sim_.cancel(failover_activate_event_);
   sim_.cancel(scrub_event_);
@@ -230,13 +234,11 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
         env_.link_arbiter->register_flow(vm.spec().name, config_.flow_weight);
   }
 
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(
-        sim_.now(), "engine.protect", "engine",
-        {{"vm", vm.spec().name},
-         {"mode", config_.mode == EngineMode::kRemus ? "remus" : "here"},
-         {"heterogeneous", heterogeneous()}});
-  }
+  tracer_.instant(
+      sim_.now(), "engine.protect", "engine",
+      {{"vm", vm.spec().name},
+       {"mode", config_.mode == EngineMode::kRemus ? "remus" : "here"},
+       {"heterogeneous", heterogeneous()}});
 
   // §5.3/§7.4: reconcile CPUID so the VM can resume on either hypervisor.
   if (heterogeneous()) {
@@ -325,6 +327,7 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
   secondary_.add_failure_listener([this](hv::FaultKind) {
     if (drained_ || seeded_ || seeder_ == nullptr) return;
     sim_.cancel(seed_deadline_event_);
+    sim_.cancel(seed_commit_event_);
     seeder_.reset();  // the destructor cancels the in-flight seeding event
     staging_.reset();
     resume_guest();
@@ -356,9 +359,9 @@ void ReplicationEngine::begin_seed_attempt() {
   // A torn-down attempt may have left the VM paused mid-stop-copy.
   if (vm_->state() == hv::VmState::kPaused) primary_.hypervisor().resume(*vm_);
 
-  if (config_.tracer != nullptr && seed_attempt_ > 1) {
-    config_.tracer->instant(sim_.now(), "seed.attempt", "seed",
-                            {{"attempt", seed_attempt_}});
+  if (seed_attempt_ > 1) {
+    tracer_.instant(sim_.now(), "seed.attempt", "seed",
+                    {{"attempt", seed_attempt_}});
   }
   seeder_.reset();  // cancel any stale in-flight seeding event first
   encoder_.reset();  // references describe the old staging image, if any
@@ -376,7 +379,7 @@ void ReplicationEngine::begin_seed_attempt() {
   }
   seeder_ = std::make_unique<Seeder>(sim_, model_, pool_.workers(),
                                      primary_.hypervisor(), *vm_, *staging_,
-                                     config_.seed, config_.tracer);
+                                     config_.seed, tracer_);
   if (config_.ft.seed_attempt_timeout > sim::Duration::zero()) {
     seed_deadline_event_ = sim_.schedule_after(
         config_.ft.seed_attempt_timeout,
@@ -392,10 +395,8 @@ void ReplicationEngine::on_seed_attempt_timeout() {
   if (seeded_) return;
   seeder_.reset();  // the destructor cancels the in-flight seeding event
   resume_guest();
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "seed.timeout", "seed",
-                            {{"attempt", seed_attempt_}});
-  }
+  tracer_.instant(sim_.now(), "seed.timeout", "seed",
+                  {{"attempt", seed_attempt_}});
   schedule_seed_retry("attempt deadline exceeded");
 }
 
@@ -403,22 +404,18 @@ void ReplicationEngine::schedule_seed_retry(const char* why) {
   if (seed_attempt_ >= config_.ft.seed_max_attempts) {
     HERE_LOG(kWarn, "seeding abandoned after %u attempt(s): %s",
              seed_attempt_, why);
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(sim_.now(), "seed.abandoned", "seed",
-                              {{"attempts", seed_attempt_}});
-    }
+    tracer_.instant(sim_.now(), "seed.abandoned", "seed",
+                    {{"attempts", seed_attempt_}});
     notify_degraded(DegradedKind::kSeedAbandoned, why);
     return;
   }
   const std::uint32_t shift = std::min<std::uint32_t>(seed_attempt_ - 1, 6);
   const sim::Duration backoff =
       config_.ft.seed_retry_backoff * (std::int64_t{1} << shift);
-  if (m_seed_retries_ != nullptr) m_seed_retries_->add(1);
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "seed.retry", "seed",
-                            {{"attempt", seed_attempt_},
-                             {"backoff_ns", backoff.count()}});
-  }
+  m_seed_retries_->add(1);
+  tracer_.instant(sim_.now(), "seed.retry", "seed",
+                  {{"attempt", seed_attempt_},
+                   {"backoff_ns", backoff.count()}});
   notify_degraded(DegradedKind::kSeedRetry, why);
   HERE_LOG(kWarn, "seeding attempt %u failed (%s); retrying in %s",
            seed_attempt_, why, sim::format_duration(backoff).c_str());
@@ -454,8 +451,8 @@ void ReplicationEngine::on_seeded(const SeedResult& result) {
   // page has a valid committed reference from epoch 1 on.
   baseline_encoder();
 
-  sim_.schedule_after(state_cost, [this] { commit_initial_checkpoint(); },
-                      "seed-state");
+  seed_commit_event_ = sim_.schedule_after(
+      state_cost, [this] { commit_initial_checkpoint(); }, "seed-state");
 }
 
 void ReplicationEngine::commit_initial_checkpoint() {
@@ -485,11 +482,9 @@ void ReplicationEngine::commit_initial_checkpoint() {
 
   // Deliberately not an "epoch.commit": epoch 0 has no pause/period split,
   // so a degradation value would be 0/0.
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "epoch.seeded", "ckpt",
-                            {{"pages_sent", stats_.seed.pages_sent},
-                             {"total_ns", stats_.seed.total_time.count()}});
-  }
+  tracer_.instant(sim_.now(), "epoch.seeded", "ckpt",
+                  {{"pages_sent", stats_.seed.pages_sent},
+                   {"total_ns", stats_.seed.total_time.count()}});
 
   HERE_LOG(kInfo, "VM '%s' protected (%s -> %s), seed took %s",
            vm_->spec().name.c_str(), primary_.name().c_str(),
@@ -510,9 +505,7 @@ bool ReplicationEngine::try_delta_seed() {
   }
   stats_.last_recovery = *result;
   stats_.wal_records_replayed += (*result).wal_records_replayed;
-  if (m_wal_replays_ != nullptr) {
-    m_wal_replays_->add((*result).wal_records_replayed);
-  }
+  m_wal_replays_->add((*result).wal_records_replayed);
 
   // Stop-and-diff: pause the guest, install exactly the pages whose digests
   // disagree with the recovered image, re-mirror the divergent disk sectors.
@@ -582,21 +575,20 @@ bool ReplicationEngine::try_delta_seed() {
   stats_.seed.stop_copy_time = cost + state_cost;
 
   delta_seeded_ = true;
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "seed.delta", "seed",
-                            {{"recovered_epoch", (*result).recovered_epoch},
-                             {"divergent_pages", divergent},
-                             {"divergent_sectors", divergent_sectors},
-                             {"wal_records", (*result).wal_records_replayed}});
-  }
+  tracer_.instant(sim_.now(), "seed.delta", "seed",
+                  {{"recovered_epoch", (*result).recovered_epoch},
+                   {"divergent_pages", divergent},
+                   {"divergent_sectors", divergent_sectors},
+                   {"wal_records", (*result).wal_records_replayed}});
   HERE_LOG(kInfo,
            "delta seed from surviving store: recovered epoch %llu, "
            "%llu divergent page(s), %llu divergent sector(s)",
            static_cast<unsigned long long>((*result).recovered_epoch),
            static_cast<unsigned long long>(divergent),
            static_cast<unsigned long long>(divergent_sectors));
-  sim_.schedule_after(cost + state_cost,
-                      [this] { commit_initial_checkpoint(); }, "seed-delta");
+  seed_commit_event_ = sim_.schedule_after(
+      cost + state_cost, [this] { commit_initial_checkpoint(); },
+      "seed-delta");
   return true;
 }
 
@@ -608,7 +600,7 @@ void ReplicationEngine::resume_guest() {
 }
 
 void ReplicationEngine::reset_staging() {
-  staging_ = std::make_unique<ReplicaStaging>(vm_->spec(), threads());
+  staging_ = std::make_unique<ReplicaStaging>(vm_->spec());
   staging_->set_advertised_wire_version(config_.replica_max_wire_version);
 }
 
@@ -659,7 +651,7 @@ sim::Duration ReplicationEngine::snapshot_state_and_program() {
 void ReplicationEngine::schedule_checkpoint() {
   const sim::Duration period = period_.current();
   stats_.period_series.record(sim_.now(), sim::to_seconds(period));
-  if (m_period_s_ != nullptr) m_period_s_->set(sim::to_seconds(period));
+  m_period_s_->set(sim::to_seconds(period));
   checkpoint_event_ = sim_.schedule_after(
       period, [this] { run_checkpoint(); }, "checkpoint");
 }
@@ -679,7 +671,7 @@ void ReplicationEngine::run_scrub() {
     return;
   }
   ++stats_.scrub_runs;
-  if (m_scrub_runs_ != nullptr) m_scrub_runs_->add(1);
+  m_scrub_runs_->add(1);
 
   // Compare the replica's image, region by region, against the per-region
   // digests recorded at commit. A mismatch means the committed bytes changed
@@ -695,7 +687,7 @@ void ReplicationEngine::run_scrub() {
     if (staging_->live_region_digest(r) == reference) continue;
     ++repaired;
     ++stats_.scrub_repairs;
-    if (m_scrub_repairs_ != nullptr) m_scrub_repairs_->add(1);
+    m_scrub_repairs_->add(1);
     // The region's committed bytes rotted after commit, so the primary's
     // encoder references no longer describe the replica's image: drop them
     // and the repair epoch ships the region raw. (Without this, a delta
@@ -707,16 +699,11 @@ void ReplicationEngine::run_scrub() {
           std::min<common::Gfn>(first + kPagesPerRegion, pages);
       for (common::Gfn g = first; g < last; ++g) bm->set(g);
     }
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(sim_.now(), "scrub.repair", "ckpt",
-                              {{"region", r}});
-    }
+    tracer_.instant(sim_.now(), "scrub.repair", "ckpt", {{"region", r}});
   }
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "scrub.run", "ckpt",
-                            {{"regions", staging_->region_count()},
-                             {"repairs", repaired}});
-  }
+  tracer_.instant(sim_.now(), "scrub.run", "ckpt",
+                  {{"regions", staging_->region_count()},
+                   {"repairs", repaired}});
   if (repaired > 0) {
     notify_degraded(DegradedKind::kScrubRepair,
                     "scrub found " + std::to_string(repaired) +
@@ -764,13 +751,11 @@ void ReplicationEngine::abort_epoch(const char* reason,
   }
   ++stats_.epochs_aborted;
   ++abort_streak_;
-  if (m_epochs_aborted_ != nullptr) m_epochs_aborted_->add(1);
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "epoch.abort", "ckpt",
-                            {{"epoch", current_epoch_},
-                             {"reason", reason},
-                             {"streak", abort_streak_}});
-  }
+  m_epochs_aborted_->add(1);
+  tracer_.instant(sim_.now(), "epoch.abort", "ckpt",
+                  {{"epoch", current_epoch_},
+                   {"reason", reason},
+                   {"streak", abort_streak_}});
   notify_degraded(DegradedKind::kEpochAborted, reason);
   const std::uint32_t shift = std::min<std::uint32_t>(abort_streak_ - 1, 6);
   sim::Duration backoff =
@@ -861,12 +846,10 @@ ReplicationEngine::EpochCapture ReplicationEngine::capture_epoch() {
   EpochCapture capture;
   capture.threads = grant.threads;
   const std::uint32_t p = capture.threads;
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "pool.grant", "ckpt",
-                            {{"epoch", current_epoch_},
-                             {"threads", p},
-                             {"contending", grant.contending}});
-  }
+  tracer_.instant(sim_.now(), "pool.grant", "ckpt",
+                  {{"epoch", current_epoch_},
+                   {"threads", p},
+                   {"contending", grant.contending}});
   const std::uint64_t pages = vm_->memory().pages();
   const std::uint64_t regions = (pages + kPagesPerRegion - 1) / kPagesPerRegion;
 
@@ -965,15 +948,13 @@ ReplicationEngine::EpochEncoding ReplicationEngine::encode_epoch(
     encoding.payload_bytes += w.bytes_out;
   }
   const EncodeStats now = encoder_->stats();
-  if (m_enc_bytes_in_ != nullptr) {
-    m_enc_bytes_in_->add(now.bytes_in - before.bytes_in);
-    m_enc_bytes_out_->add(now.bytes_out - before.bytes_out);
-    m_enc_pages_zero_->add(now.pages_zero - before.pages_zero);
-    m_enc_pages_delta_->add(now.pages_delta - before.pages_delta);
-    m_enc_pages_skipped_->add(now.pages_skipped - before.pages_skipped);
-  }
-  if (config_.tracer != nullptr && capture.pages > 0) {
-    config_.tracer->instant(
+  m_enc_bytes_in_->add(now.bytes_in - before.bytes_in);
+  m_enc_bytes_out_->add(now.bytes_out - before.bytes_out);
+  m_enc_pages_zero_->add(now.pages_zero - before.pages_zero);
+  m_enc_pages_delta_->add(now.pages_delta - before.pages_delta);
+  m_enc_pages_skipped_->add(now.pages_skipped - before.pages_skipped);
+  if (capture.pages > 0) {
+    tracer_.instant(
         sim_.now(), "epoch.encode", "ckpt",
         {{"epoch", current_epoch_},
          {"pages_in", now.pages_in - before.pages_in},
@@ -1015,7 +996,7 @@ ReplicationEngine::EpochTransfer ReplicationEngine::transmit_epoch(
         count) {
       saw_corruption = true;
       ++stats_.regions_corrupted;
-      if (m_regions_corrupted_ != nullptr) m_regions_corrupted_->add(1);
+      m_regions_corrupted_->add(1);
     }
   };
 
@@ -1052,16 +1033,14 @@ ReplicationEngine::EpochTransfer ReplicationEngine::transmit_epoch(
          round < config_.ft.retransmit_budget) {
     ++round;
     const std::set<std::uint32_t> nack = staging_->corrupt_regions();
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(sim_.now(), "wire.nack", "ckpt",
-                              {{"epoch", current_epoch_},
-                               {"regions", nack.size()},
-                               {"round", round}});
-    }
+    tracer_.instant(sim_.now(), "wire.nack", "ckpt",
+                    {{"epoch", current_epoch_},
+                     {"regions", nack.size()},
+                     {"round", round}});
     for (const std::uint32_t region : nack) {
       const wire::RegionFrame* f = by_region.at(region);
       ++stats_.retransmits;
-      if (m_retransmits_ != nullptr) m_retransmits_->add(1);
+      m_retransmits_->add(1);
       transfer.retransmit_bytes += f->payload_bytes();
       wire::RegionFrame rx = *f;
       const net::FrameFate fate = fabric_.transmit_frame(src, dst, rx.bytes);
@@ -1201,12 +1180,13 @@ void ReplicationEngine::record_epoch_pause(std::uint64_t epoch,
   primary_.account_replication_cpu(cpu_work);
   primary_.account_replication_memory(staging_->peak_buffered_bytes() * scale);
 
-  if (config_.tracer == nullptr) return;
+  // The per-worker span loop below is the one emission worth skipping.
+  if (!tracer_.enabled()) return;
   const sim::TimePoint pause_begin = sim_.now();
-  config_.tracer->complete(pause_begin, cost.pause, "ckpt.pause", "ckpt", 0,
-                           {{"epoch", epoch},
-                            {"dirty_pages", capture.pages * scale},
-                            {"threads", capture.threads}});
+  tracer_.complete(pause_begin, cost.pause, "ckpt.pause", "ckpt", 0,
+                   {{"epoch", epoch},
+                    {"dirty_pages", capture.pages * scale},
+                    {"threads", capture.threads}});
   // One span per migrator thread, on its own tid (tid 0 is the
   // coordinator). Worker w's share of the copy is proportional to its page
   // count, so the span never outlasts the aggregate copy cost — which keeps
@@ -1220,9 +1200,8 @@ void ReplicationEngine::record_epoch_pause(std::uint64_t epoch,
     const auto share = static_cast<std::int64_t>(
         static_cast<double>(cost.copy_span.count()) *
         static_cast<double>(pages) / static_cast<double>(max_worker));
-    config_.tracer->complete(copy_begin, sim::Duration{share}, "migrator.copy",
-                             "ckpt", w + 1,
-                             {{"epoch", epoch}, {"pages", pages * scale}});
+    tracer_.complete(copy_begin, sim::Duration{share}, "migrator.copy", "ckpt",
+                     w + 1, {{"epoch", epoch}, {"pages", pages * scale}});
   }
 }
 
@@ -1282,12 +1261,10 @@ void ReplicationEngine::finish_checkpoint(const EpochInFlight& epoch) {
     // into the running epoch and retry; the epoch's buffered output stays
     // held until a later commit actually releases it.
     ++stats_.commits_rejected;
-    if (m_commits_rejected_ != nullptr) m_commits_rejected_->add(1);
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(sim_.now(), "epoch.commit_rejected", "ckpt",
-                              {{"epoch", epoch.epoch},
-                               {"status", committed.status().to_string()}});
-    }
+    m_commits_rejected_->add(1);
+    tracer_.instant(sim_.now(), "epoch.commit_rejected", "ckpt",
+                    {{"epoch", epoch.epoch},
+                     {"status", committed.status().to_string()}});
     abort_epoch("replica refused commit: integrity verification failed");
     return;
   }
@@ -1306,7 +1283,7 @@ void ReplicationEngine::finish_checkpoint(const EpochInFlight& epoch) {
   // committed digests on the engine side — staging dies with a secondary
   // crash, and the rejoin diff needs the last-acked references.
   if (env_.durable_store != nullptr) {
-    if (m_wal_appends_ != nullptr) m_wal_appends_->add(1);
+    m_wal_appends_->add(1);
     mirror_committed_digests();
   }
   // First commit after a secondary rejoin: the resynced image is acked and
@@ -1314,15 +1291,11 @@ void ReplicationEngine::finish_checkpoint(const EpochInFlight& epoch) {
   if (rejoining_) {
     rejoining_ = false;
     stats_.last_rejoin_time = sim_.now() - secondary_crashed_at_;
-    if (m_rejoin_ms_ != nullptr) {
-      m_rejoin_ms_->add(sim::to_seconds(stats_.last_rejoin_time) * 1e3);
-    }
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(sim_.now(), "rejoin.protected", "fo",
-                              {{"epoch", epoch.epoch},
-                               {"rejoin_ns",
-                                stats_.last_rejoin_time.count()}});
-    }
+    m_rejoin_ms_->add(sim::to_seconds(stats_.last_rejoin_time) * 1e3);
+    tracer_.instant(sim_.now(), "rejoin.protected", "fo",
+                    {{"epoch", epoch.epoch},
+                     {"rejoin_ns",
+                      stats_.last_rejoin_time.count()}});
     HERE_LOG(kInfo, "secondary rejoined: protection restored after %s",
              sim::format_duration(stats_.last_rejoin_time).c_str());
   }
@@ -1345,22 +1318,18 @@ void ReplicationEngine::finish_checkpoint(const EpochInFlight& epoch) {
   // The commit event precedes the release of the epoch's buffered output:
   // in stream order no "io.release" tagged with epoch N may appear before
   // "epoch.commit" N (the output-commit invariant the obs tests check).
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "epoch.commit", "ckpt",
-                            {{"epoch", record.epoch},
-                             {"pause", record.pause.count()},
-                             {"period", record.period_used.count()},
-                             {"degradation", record.degradation},
-                             {"dirty_pages", record.dirty_pages_model},
-                             {"bytes", record.bytes_model}});
-  }
-  if (m_epochs_ != nullptr) {
-    m_epochs_->add(1);
-    m_dirty_pages_->add(record.dirty_pages_model);
-    m_bytes_->add(record.bytes_model);
-    m_pause_ms_->add(sim::to_seconds(record.pause) * 1e3);
-    m_degradation_pct_->add(record.degradation * 100.0);
-  }
+  tracer_.instant(sim_.now(), "epoch.commit", "ckpt",
+                  {{"epoch", record.epoch},
+                   {"pause", record.pause.count()},
+                   {"period", record.period_used.count()},
+                   {"degradation", record.degradation},
+                   {"dirty_pages", record.dirty_pages_model},
+                   {"bytes", record.bytes_model}});
+  m_epochs_->add(1);
+  m_dirty_pages_->add(record.dirty_pages_model);
+  m_bytes_->add(record.bytes_model);
+  m_pause_ms_->add(sim::to_seconds(record.pause) * 1e3);
+  m_degradation_pct_->add(record.degradation * 100.0);
   for (EngineObserver* o : observers_) o->on_checkpoint_committed(record);
 
   // Output commit: packets of the epoch that just committed are released.
@@ -1371,19 +1340,16 @@ void ReplicationEngine::finish_checkpoint(const EpochInFlight& epoch) {
   const std::uint64_t captured_now = outbound_.captured_total();
   period_.observe_epoch(record.pause, captured_now > epoch_start_captured_);
   epoch_start_captured_ = captured_now;
-  if (config_.tracer != nullptr) {
-    // Algorithm 1's decision with its inputs (t, N, P) and output (next T).
-    // P is the pool's grant the epoch ran on, not the requested count.
-    config_.tracer->instant(
-        sim_.now(), "period.decide", "period",
-        {{"epoch", record.epoch},
-         {"t_pause_ns", record.pause.count()},
-         {"dirty_pages", record.dirty_pages_model},
-         {"threads", epoch.threads},
-         {"degradation", period_.last_degradation()},
-         {"t_next_ns", period_.current().count()},
-         {"t_max_ns", config_.period.t_max.count()}});
-  }
+  // Algorithm 1's decision with its inputs (t, N, P) and output (next T).
+  // P is the pool's grant the epoch ran on, not the requested count.
+  tracer_.instant(sim_.now(), "period.decide", "period",
+                  {{"epoch", record.epoch},
+                   {"t_pause_ns", record.pause.count()},
+                   {"dirty_pages", record.dirty_pages_model},
+                   {"threads", epoch.threads},
+                   {"degradation", period_.last_degradation()},
+                   {"t_next_ns", period_.current().count()},
+                   {"t_max_ns", config_.period.t_max.count()}});
   last_checkpoint_done_ = sim_.now();
   schedule_checkpoint();
 }
@@ -1409,7 +1375,7 @@ void ReplicationEngine::send_heartbeat() {
     hb.kind = kHeartbeatKind;
     fabric_.send(hb);
     ++stats_.heartbeats_sent;
-    if (m_heartbeats_ != nullptr) m_heartbeats_->add(1);
+    m_heartbeats_->add(1);
   }
   heartbeat_event_ = sim_.schedule_after(config_.heartbeat_interval,
                                          [this] { send_heartbeat(); },
@@ -1461,10 +1427,8 @@ void ReplicationEngine::on_heartbeat_lost() {
       probe.size_bytes = 64;
       probe.kind = kProbeRequestKind;
       fabric_.send(probe);
-      if (config_.tracer != nullptr) {
-        config_.tracer->instant(sim_.now(), "watchdog.probe", "fo",
-                                {{"timeout_ns", config_.ft.probe_timeout.count()}});
-      }
+      tracer_.instant(sim_.now(), "watchdog.probe", "fo",
+                      {{"timeout_ns", config_.ft.probe_timeout.count()}});
       probe_event_ = sim_.schedule_after(
           config_.ft.probe_timeout, [this] { finish_probe(); },
           "watchdog-probe");
@@ -1472,10 +1436,8 @@ void ReplicationEngine::on_heartbeat_lost() {
     }
     // Both networks unreachable: indistinguishable from a dead machine.
     stats_.failure_classification = "crash-suspected";
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(sim_.now(), "watchdog.classify", "fo",
-                              {{"classification", "crash-suspected"}});
-    }
+    tracer_.instant(sim_.now(), "watchdog.classify", "fo",
+                    {{"classification", "crash-suspected"}});
   }
   begin_failover("heartbeat timeout", /*fence_on_heartbeat=*/true);
 }
@@ -1490,11 +1452,9 @@ void ReplicationEngine::finish_probe() {
   const bool partition = probe_reply_received_;
   stats_.failure_classification =
       partition ? "partition-suspected" : "crash-suspected";
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(
-        sim_.now(), "watchdog.classify", "fo",
-        {{"classification", stats_.failure_classification}});
-  }
+  tracer_.instant(
+      sim_.now(), "watchdog.classify", "fo",
+      {{"classification", stats_.failure_classification}});
   if (partition) {
     notify_degraded(
         DegradedKind::kPartitionSuspected,
@@ -1523,10 +1483,7 @@ void ReplicationEngine::begin_failover(const std::string& reason,
   stats_.failure_detected_at = sim_.now();
   sim_.cancel(checkpoint_event_);
   abort_staged_epoch();
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "failover.begin", "fo",
-                            {{"reason", reason}});
-  }
+  tracer_.instant(sim_.now(), "failover.begin", "fo", {{"reason", reason}});
   for (EngineObserver* o : observers_) o->on_failover_started(reason);
 
   HERE_LOG(kInfo, "failover: %s; activating replica on %s", reason.c_str(),
@@ -1559,11 +1516,9 @@ void ReplicationEngine::fence_failover() {
   failover_in_progress_ = false;
   fencing_armed_ = false;
   ++stats_.failovers_fenced;
-  if (m_failovers_fenced_ != nullptr) m_failovers_fenced_->add(1);
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "failover.fenced", "fo",
-                            {{"fenced_total", stats_.failovers_fenced}});
-  }
+  m_failovers_fenced_->add(1);
+  tracer_.instant(sim_.now(), "failover.fenced", "fo",
+                  {{"fenced_total", stats_.failovers_fenced}});
   notify_degraded(DegradedKind::kFailoverFenced,
                   "primary heartbeats resumed within the fencing window");
   // The epoch aborted at failover start folds back into the running epoch;
@@ -1584,11 +1539,9 @@ void ReplicationEngine::activate_replica() {
   // the moment the replica takes over the service address, not earlier (a
   // fenced failover must leave the buffer intact for the next commit).
   stats_.packets_dropped_at_failover = outbound_.drop_all();
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(
-        sim_.now(), "io.drop", "io",
-        {{"dropped", stats_.packets_dropped_at_failover}});
-  }
+  tracer_.instant(
+      sim_.now(), "io.drop", "io",
+      {{"dropped", stats_.packets_dropped_at_failover}});
 
   hv::Hypervisor& target = secondary_.hypervisor();
   hv::Vm& replica = target.create_vm(staging_->spec());
@@ -1636,17 +1589,13 @@ void ReplicationEngine::activate_replica() {
   stats_.replica_active_at = sim_.now();
   stats_.resumption_time = sim_.now() - stats_.failure_detected_at;
   failover_in_progress_ = false;
-  if (m_mttr_ms_ != nullptr) {
-    m_mttr_ms_->add(sim::to_seconds(stats_.resumption_time) * 1e3);
-  }
+  m_mttr_ms_->add(sim::to_seconds(stats_.resumption_time) * 1e3);
 
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(
-        sim_.now(), "failover.replica_active", "fo",
-        {{"epoch", staging_->committed_epoch()},
-         {"resumption_ns", stats_.resumption_time.count()},
-         {"packets_dropped", stats_.packets_dropped_at_failover}});
-  }
+  tracer_.instant(
+      sim_.now(), "failover.replica_active", "fo",
+      {{"epoch", staging_->committed_epoch()},
+       {"resumption_ns", stats_.resumption_time.count()},
+       {"packets_dropped", stats_.packets_dropped_at_failover}});
   for (EngineObserver* o : observers_) o->on_replica_active(replica);
 
   HERE_LOG(kInfo, "replica active on %s after %s (epoch %llu)",
@@ -1660,10 +1609,8 @@ void ReplicationEngine::activate_replica() {
 void ReplicationEngine::inject_migrator_stall(sim::Duration stall) {
   if (stall <= sim::Duration::zero()) return;
   pending_stall_ += stall;
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "fault.migrator_stall", "ckpt",
-                            {{"stall_ns", stall.count()}});
-  }
+  tracer_.instant(sim_.now(), "fault.migrator_stall", "ckpt",
+                  {{"stall_ns", stall.count()}});
   notify_degraded(DegradedKind::kMigratorStall,
                   "migrator threads stalled by fault injection");
 }
@@ -1673,17 +1620,7 @@ void ReplicationEngine::drain(const std::string& reason) {
   drained_ = true;
   // Everything this generation ever scheduled is cancelled; a drained
   // engine is inert except for reads.
-  sim_.cancel(checkpoint_event_);
-  sim_.cancel(checkpoint_finish_event_);
-  sim_.cancel(heartbeat_event_);
-  sim_.cancel(watchdog_event_);
-  sim_.cancel(seed_deadline_event_);
-  sim_.cancel(seed_retry_event_);
-  sim_.cancel(probe_event_);
-  sim_.cancel(failover_activate_event_);
-  sim_.cancel(scrub_event_);
-  sim_.cancel(secondary_reboot_event_);
-  sim_.cancel(resume_probe_event_);
+  cancel_events();
   seeder_.reset();
   failover_in_progress_ = false;
   fencing_armed_ = false;
@@ -1698,10 +1635,7 @@ void ReplicationEngine::drain(const std::string& reason) {
   // engine. Dropping it is the same output-commit call failover makes: a
   // never-released packet was never client-visible.
   stats_.packets_dropped_at_drain += outbound_.drop_all();
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "engine.drain", "engine",
-                            {{"reason", reason}});
-  }
+  tracer_.instant(sim_.now(), "engine.drain", "engine", {{"reason", reason}});
   HERE_LOG(kInfo, "engine: generation drained (%s)", reason.c_str());
 }
 
@@ -1726,11 +1660,9 @@ void ReplicationEngine::inject_secondary_crash(sim::Duration reboot_after) {
   restore_aborted_epoch();
   staging_.reset();
   resume_guest();
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "fault.secondary_crash", "fo",
-                            {{"reboot_after_ns", reboot_after.count()},
-                             {"durable", env_.durable_store != nullptr}});
-  }
+  tracer_.instant(sim_.now(), "fault.secondary_crash", "fo",
+                  {{"reboot_after_ns", reboot_after.count()},
+                   {"durable", env_.durable_store != nullptr}});
   notify_degraded(DegradedKind::kSecondaryCrash,
                   "secondary crashed; replica staging lost — protection "
                   "suspended until rejoin");
@@ -1762,9 +1694,7 @@ void ReplicationEngine::on_secondary_rebooted() {
       ++stats_.rejoins;
       stats_.last_recovery = *result;
       stats_.wal_records_replayed += (*result).wal_records_replayed;
-      if (m_wal_replays_ != nullptr) {
-        m_wal_replays_->add((*result).wal_records_replayed);
-      }
+      m_wal_replays_->add((*result).wal_records_replayed);
       recovery_cost = model_.durable_replay((*result).bytes_read * scale,
                                             (*result).wal_records_replayed);
       // Digest diff, two levels. A region whose recovered digest agrees with
@@ -1805,10 +1735,9 @@ void ReplicationEngine::on_secondary_rebooted() {
       // The page-digest exchange is wire traffic too: 8 bytes per modelled
       // page of every divergent region, both directions.
       recovery_cost += model_.wire_time(2 * digest_pages * 8ULL * scale);
-    } else if (config_.tracer != nullptr) {
-      config_.tracer->instant(
-          sim_.now(), "rejoin.recovery_failed", "fo",
-          {{"status", result.status().to_string()}});
+    } else {
+      tracer_.instant(sim_.now(), "rejoin.recovery_failed", "fo",
+                      {{"status", result.status().to_string()}});
     }
   }
   if (!recovered) {
@@ -1837,7 +1766,7 @@ void ReplicationEngine::on_secondary_rebooted() {
   recovery_cost += model_.wire_time(divergent_sectors * 512ULL);
 
   stats_.resync_regions += resync;
-  if (m_resync_regions_ != nullptr) m_resync_regions_->add(resync);
+  m_resync_regions_->add(resync);
 
   // Persist the recovered state as a fresh snapshot: a damaged WAL tail must
   // not linger into the next crash. (Attach happens after recovery so replay
@@ -1848,14 +1777,12 @@ void ReplicationEngine::on_secondary_rebooted() {
                                        staging_->memory(), staging_->disk());
   }
 
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "rejoin.begin", "fo",
-                            {{"recovered", recovered},
-                             {"resync_regions", resync},
-                             {"regions", regions},
-                             {"divergent_sectors", divergent_sectors},
-                             {"recovery_ns", recovery_cost.count()}});
-  }
+  tracer_.instant(sim_.now(), "rejoin.begin", "fo",
+                  {{"recovered", recovered},
+                   {"resync_regions", resync},
+                   {"regions", regions},
+                   {"divergent_sectors", divergent_sectors},
+                   {"recovery_ns", recovery_cost.count()}});
   notify_degraded(
       DegradedKind::kSecondaryRejoined,
       (recovered ? "secondary recovered from snapshot+WAL; resyncing " +
@@ -1903,10 +1830,8 @@ void ReplicationEngine::on_primary_recovered() {
   // back in and restarts the loop.
   sim_.cancel(checkpoint_event_);
   sim_.cancel(checkpoint_finish_event_);
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "recovery.arbitrate", "fo",
-                            {{"vm", vm_->spec().name}});
-  }
+  tracer_.instant(sim_.now(), "recovery.arbitrate", "fo",
+                  {{"vm", vm_->spec().name}});
   send_resume_probe();
 }
 
@@ -1919,11 +1844,9 @@ void ReplicationEngine::send_resume_probe() {
     return;
   }
   ++stats_.resume_probes;
-  if (m_resume_probes_ != nullptr) m_resume_probes_->add(1);
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "resume.probe", "fo",
-                            {{"probes", stats_.resume_probes}});
-  }
+  m_resume_probes_->add(1);
+  tracer_.instant(sim_.now(), "resume.probe", "fo",
+                  {{"probes", stats_.resume_probes}});
   // A dead secondary cannot arbitrate — and cannot have activated either, so
   // the recovered primary is trivially authoritative (self-grant).
   if (!secondary_.alive() && !failover_in_progress_ && !stats_.failed_over) {
@@ -1963,12 +1886,10 @@ void ReplicationEngine::on_resume_probe(const net::Packet& packet) {
       failover_in_progress_ = false;
       fencing_armed_ = false;
       ++stats_.failovers_fenced;
-      if (m_failovers_fenced_ != nullptr) m_failovers_fenced_->add(1);
-      if (config_.tracer != nullptr) {
-        config_.tracer->instant(sim_.now(), "failover.fenced", "fo",
-                                {{"fenced_total", stats_.failovers_fenced},
-                                 {"by", "resume-probe"}});
-      }
+      m_failovers_fenced_->add(1);
+      tracer_.instant(sim_.now(), "failover.fenced", "fo",
+                      {{"fenced_total", stats_.failovers_fenced},
+                       {"by", "resume-probe"}});
       notify_degraded(DegradedKind::kFailoverFenced,
                       "recovered primary probed before replica activation");
       watchdog_check();  // the loop parked when the failover began
@@ -1981,10 +1902,8 @@ void ReplicationEngine::on_resume_probe(const net::Packet& packet) {
   reply.kind = deny ? kResumeDenyKind : kResumeGrantKind;
   reply.tag = probe_token_;
   fabric_.send(reply);
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), deny ? "resume.deny" : "resume.grant",
-                            "fo", {{"failed_over", stats_.failed_over}});
-  }
+  tracer_.instant(sim_.now(), deny ? "resume.deny" : "resume.grant",
+                  "fo", {{"failed_over", stats_.failed_over}});
 }
 
 void ReplicationEngine::on_resume_grant() {
@@ -1992,10 +1911,8 @@ void ReplicationEngine::on_resume_grant() {
   resume_probe_pending_ = false;
   sim_.cancel(resume_probe_event_);
   ++stats_.resume_grants;
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "resume.resumed", "fo",
-                            {{"grants", stats_.resume_grants}});
-  }
+  tracer_.instant(sim_.now(), "resume.resumed", "fo",
+                  {{"grants", stats_.resume_grants}});
   // The epoch that died with the crash folds back into the running one so
   // the first post-recovery checkpoint re-ships it (output commit held: its
   // buffered output was never dropped, only activation drops).
@@ -2019,11 +1936,8 @@ void ReplicationEngine::demote_primary(const char* reason) {
   sim_.cancel(checkpoint_event_);
   sim_.cancel(checkpoint_finish_event_);
   ++stats_.primary_demotions;
-  if (m_primary_demotions_ != nullptr) m_primary_demotions_->add(1);
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "primary.demoted", "fo",
-                            {{"reason", reason}});
-  }
+  m_primary_demotions_->add(1);
+  tracer_.instant(sim_.now(), "primary.demoted", "fo", {{"reason", reason}});
   // The stale instance must never run again: its state forked from the
   // authoritative replica at the last committed epoch. Destroy it; the
   // control plane re-seeds protection for the activated replica, using this
@@ -2046,19 +1960,13 @@ void ReplicationEngine::demote_primary(const char* reason) {
 void ReplicationEngine::inject_wal_torn_write(std::uint64_t bytes) {
   if (env_.durable_store == nullptr || bytes == 0) return;
   env_.durable_store->damage_wal_tail(bytes);
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "fault.wal_torn_write", "fo",
-                            {{"bytes", bytes}});
-  }
+  tracer_.instant(sim_.now(), "fault.wal_torn_write", "fo", {{"bytes", bytes}});
 }
 
 void ReplicationEngine::inject_wal_truncation(std::uint64_t bytes) {
   if (env_.durable_store == nullptr || bytes == 0) return;
   env_.durable_store->truncate_wal_tail(bytes);
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "fault.wal_truncation", "fo",
-                            {{"bytes", bytes}});
-  }
+  tracer_.instant(sim_.now(), "fault.wal_truncation", "fo", {{"bytes", bytes}});
 }
 
 void ReplicationEngine::notify_degraded(DegradedKind kind, std::string detail) {

@@ -171,8 +171,10 @@ struct ReplicationConfig {
   // Observability (src/obs): borrowed pointers, either may be null, both
   // must outlive the engine. The engine (and the components it drives:
   // seeder, outbound buffer, period decisions) emits spans/instants through
-  // `tracer` and keeps counters/histograms in `metrics`; with both null the
-  // hot paths skip all event construction. Event schema: docs/observability.md.
+  // `tracer` and keeps counters/histograms in `metrics`. A null tracer means
+  // obs::Tracer::none(); a null registry means the engine keeps its
+  // instruments in a private registry nobody reads. Event schema:
+  // docs/observability.md.
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -557,6 +559,8 @@ class ReplicationEngine {
   void on_service_packet(const net::Packet& packet);
 
   void notify_degraded(DegradedKind kind, std::string detail);
+  // Cancels every event this engine generation has scheduled.
+  void cancel_events();
 
   sim::Simulation& sim_;
   net::Fabric& fabric_;
@@ -564,6 +568,8 @@ class ReplicationEngine {
   hv::Host& secondary_;
   ReplicationConfig config_;
   EngineEnv env_;
+  // config_.tracer, or obs::Tracer::none() when it is null.
+  const obs::Tracer& tracer_;
   TimeModel model_;
   // The engine's own migrator pool; null when EngineEnv shares one.
   std::unique_ptr<MigratorPool> owned_pool_;
@@ -610,6 +616,7 @@ class ReplicationEngine {
   sim::EventId watchdog_event_;
   sim::EventId seed_deadline_event_;
   sim::EventId seed_retry_event_;
+  sim::EventId seed_commit_event_;  // epoch-0 commit after a (delta) seed
   sim::EventId probe_event_;
   sim::EventId failover_activate_event_;
   sim::EventId scrub_event_;
@@ -634,7 +641,11 @@ class ReplicationEngine {
   std::uint64_t probe_token_ = 0;
   sim::EventId resume_probe_event_;
 
-  // Cached metric instruments (all null when config_.metrics is null).
+  // Holds the instruments config_.metrics does not receive: all of them
+  // without a shared registry, else those of a stage the engine lacks
+  // (encoders off, no durable store).
+  obs::MetricsRegistry own_metrics_;
+  // Cached metric instruments, never null after construction.
   obs::Counter* m_epochs_ = nullptr;
   obs::Counter* m_dirty_pages_ = nullptr;
   obs::Counter* m_bytes_ = nullptr;

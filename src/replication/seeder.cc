@@ -11,7 +11,7 @@ namespace here::rep {
 Seeder::Seeder(sim::Simulation& simulation, const TimeModel& model,
                common::ThreadPool& pool, hv::Hypervisor& hypervisor,
                hv::Vm& vm, ReplicaStaging& staging, SeedConfig config,
-               obs::Tracer* tracer)
+               const obs::Tracer& tracer)
     : sim_(simulation),
       model_(model),
       pool_(pool),
@@ -83,10 +83,8 @@ void Seeder::run_full_pass() {
   HERE_LOG(kDebug, "seed: full pass of %llu pages in %s",
            static_cast<unsigned long long>(n_model),
            sim::format_duration(d).c_str());
-  if (tracer_ != nullptr) {
-    tracer_->complete(sim_.now(), d, "seed.full_pass", "seed", 0,
-                      {{"pages", n_model}});
-  }
+  tracer_.complete(sim_.now(), d, "seed.full_pass", "seed", 0,
+                   {{"pages", n_model}});
   pending_event_ = sim_.schedule_after(d, [this] { run_iteration(); },
                                        "seed-iter");
 }
@@ -176,11 +174,9 @@ void Seeder::run_iteration() {
   HERE_LOG(kDebug, "seed: iteration %u sent %llu pages in %s", iteration_,
            static_cast<unsigned long long>(captured),
            sim::format_duration(d).c_str());
-  if (tracer_ != nullptr) {
-    tracer_->complete(sim_.now(), d, "seed.iteration", "seed", 0,
-                      {{"iteration", iteration_},
-                       {"pages", model_pages(captured)}});
-  }
+  tracer_.complete(sim_.now(), d, "seed.iteration", "seed", 0,
+                   {{"iteration", iteration_},
+                    {"pages", model_pages(captured)}});
   pending_event_ = sim_.schedule_after(d, [this] { run_iteration(); },
                                        "seed-iter");
 }
@@ -219,22 +215,18 @@ void Seeder::final_stop_copy() {
   result_.stop_copy_time = d;
   HERE_LOG(kDebug, "seed: stop-and-copy of %zu pages in %s", remaining.size(),
            sim::format_duration(d).c_str());
-  if (tracer_ != nullptr) {
-    tracer_->complete(sim_.now(), d, "seed.stop_copy", "seed", 0,
-                      {{"pages", n_model},
-                       {"problematic", result_.problematic_pages}});
-  }
+  tracer_.complete(sim_.now(), d, "seed.stop_copy", "seed", 0,
+                   {{"pages", n_model},
+                    {"problematic", result_.problematic_pages}});
 
   pending_event_ = sim_.schedule_after(d, [this] {
     if (!hv_.operational()) return;
     result_.total_time = sim_.now() - started_at_;
     finished_ = true;
-    if (tracer_ != nullptr) {
-      tracer_->instant(sim_.now(), "seed.done", "seed",
-                       {{"total_ns", result_.total_time.count()},
-                        {"pages_sent", result_.pages_sent},
-                        {"iterations", result_.iterations}});
-    }
+    tracer_.instant(sim_.now(), "seed.done", "seed",
+                    {{"total_ns", result_.total_time.count()},
+                     {"pages_sent", result_.pages_sent},
+                     {"iterations", result_.iterations}});
     if (done_) done_(result_);
   }, "seed-done");
 }

@@ -54,12 +54,12 @@ class Seeder {
   // kHereMultithreaded requires a hypervisor with per-vCPU PML support
   // (the Xen model); kXenDefault works with any dirty-bitmap-capable
   // hypervisor, which is how the reverse (KVM-primary) direction seeds.
-  // `tracer` (optional, borrowed) receives "seed" category spans: one per
-  // pre-copy round plus the final stop-and-copy, keyed on simulated time.
+  // `tracer` (borrowed) receives "seed" category spans: one per pre-copy
+  // round plus the final stop-and-copy, keyed on simulated time.
   Seeder(sim::Simulation& simulation, const TimeModel& model,
          common::ThreadPool& pool, hv::Hypervisor& hypervisor, hv::Vm& vm,
          ReplicaStaging& staging, SeedConfig config,
-         obs::Tracer* tracer = nullptr);
+         const obs::Tracer& tracer = obs::Tracer::none());
 
   // Destroying a seeder mid-flight cancels its pending event: the engine's
   // seeding-retry path tears an attempt down and builds a fresh one.
@@ -94,7 +94,7 @@ class Seeder {
   hv::Vm& vm_;
   ReplicaStaging& staging_;
   SeedConfig config_;
-  obs::Tracer* tracer_;
+  const obs::Tracer& tracer_;
 
   DoneFn done_;
   SeedResult result_;

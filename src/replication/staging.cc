@@ -1,7 +1,6 @@
 #include "replication/staging.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "replication/durable_store.h"
 #include "replication/encoder.h"
@@ -10,10 +9,8 @@ namespace here::rep {
 
 using common::kPageSize;
 
-ReplicaStaging::ReplicaStaging(const hv::VmSpec& spec, std::uint32_t workers)
-    : spec_(spec),
-      memory_(spec.pages, spec.vcpus),
-      buffers_(std::max<std::uint32_t>(1, workers)) {}
+ReplicaStaging::ReplicaStaging(const hv::VmSpec& spec)
+    : spec_(spec), memory_(spec.pages, spec.vcpus) {}
 
 void ReplicaStaging::install_seed_page(common::Gfn gfn,
                                        std::span<const std::uint8_t> bytes) {
@@ -24,23 +21,10 @@ void ReplicaStaging::install_seed_page(common::Gfn gfn,
 void ReplicaStaging::begin_epoch(std::uint64_t epoch) {
   std::lock_guard lock(commit_mu_);
   open_epoch_ = epoch;
-  for (auto& b : buffers_) {
-    b.gfns.clear();
-    b.bytes.clear();
-  }
   expectation_armed_ = false;
   expected_ = {};
   frames_.clear();
   corrupt_regions_.clear();
-}
-
-void ReplicaStaging::buffer_page(std::uint32_t worker, common::Gfn gfn,
-                                 std::span<const std::uint8_t> bytes) {
-  WorkerBuffer& buf = buffers_.at(worker);
-  buf.gfns.push_back(gfn);
-  const std::size_t off = buf.bytes.size();
-  buf.bytes.resize(off + kPageSize);
-  std::memcpy(buf.bytes.data() + off, bytes.data(), kPageSize);
 }
 
 void ReplicaStaging::buffer_disk_writes(std::vector<hv::DiskWrite> writes) {
@@ -88,7 +72,6 @@ FrameVerdict ReplicaStaging::receive_frame(wire::RegionFrame frame) {
 
 std::uint64_t ReplicaStaging::buffered_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& b : buffers_) total += b.bytes.size();
   for (const auto& [seq, frame] : frames_) total += frame.bytes.size();
   return total;
 }
@@ -178,12 +161,9 @@ Expected<std::uint64_t> ReplicaStaging::commit() {
   // Durable capture: the epoch header is reset by the apply below, so take
   // it now; the verified frames and disk writes move into the record once
   // they are applied. Only the verified frame path can be re-described as a
-  // WAL record; commits that carry worker-buffered pages (seeding, legacy
-  // path) persist as full snapshots.
-  bool worker_pages = false;
-  for (const auto& b : buffers_) worker_pages |= !b.gfns.empty();
-  const bool log_epoch =
-      durable_ != nullptr && expectation_armed_ && !worker_pages;
+  // WAL record; commits without an expectation (seeding) persist as full
+  // snapshots.
+  const bool log_epoch = durable_ != nullptr && expectation_armed_;
   WalRecord durable_record;
   if (log_epoch) {
     durable_record.epoch = open_epoch_;
@@ -192,17 +172,6 @@ Expected<std::uint64_t> ReplicaStaging::commit() {
   }
   std::uint64_t applied = 0;
   std::set<std::uint32_t> touched;
-  for (auto& b : buffers_) {
-    for (std::size_t i = 0; i < b.gfns.size(); ++i) {
-      memory_.install_page(
-          b.gfns[i], {b.bytes.data() + i * kPageSize, kPageSize});
-      touched.insert(
-          static_cast<std::uint32_t>(b.gfns[i] / common::kPagesPerRegion));
-      ++applied;
-    }
-    b.gfns.clear();
-    b.bytes.clear();
-  }
   // Seq order: a retransmitted frame (higher seq, same region) lands after
   // the original, so the last writer wins deterministically.
   for (const auto& [seq, frame] : frames_) {
@@ -262,10 +231,6 @@ Expected<std::uint64_t> ReplicaStaging::commit() {
 
 void ReplicaStaging::abort_epoch() {
   std::lock_guard lock(commit_mu_);
-  for (auto& b : buffers_) {
-    b.gfns.clear();
-    b.bytes.clear();
-  }
   pending_disk_writes_.clear();
   pending_state_.reset();
   pending_program_.reset();

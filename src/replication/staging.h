@@ -39,8 +39,7 @@ enum class FrameVerdict : std::uint8_t {
 
 class ReplicaStaging {
  public:
-  // `workers` = number of migrator threads that may buffer concurrently.
-  ReplicaStaging(const hv::VmSpec& spec, std::uint32_t workers);
+  explicit ReplicaStaging(const hv::VmSpec& spec);
 
   [[nodiscard]] const hv::VmSpec& spec() const { return spec_; }
   [[nodiscard]] hv::GuestMemory& memory() { return memory_; }
@@ -63,11 +62,6 @@ class ReplicaStaging {
 
   void begin_epoch(std::uint64_t epoch);
   [[nodiscard]] std::uint64_t open_epoch() const { return open_epoch_; }
-
-  // Buffers one page for the open epoch. Thread-safe across distinct
-  // `worker` indices (each worker owns its buffer).
-  void buffer_page(std::uint32_t worker, common::Gfn gfn,
-                   std::span<const std::uint8_t> bytes);
 
   // --- Verified frame path (checkpoint wire format) ---------------------------
   //
@@ -125,8 +119,8 @@ class ReplicaStaging {
   // applied, kDataLoss — when frames are missing or corrupt, the recomputed
   // rolling digest disagrees with the epoch header, or an encoded frame's
   // delta/skip base disagrees with the committed image (version-1 frames are
-  // decoded *before* anything is applied). Without an expectation (legacy
-  // worker-buffer path) the commit is unconditional.
+  // decoded *before* anything is applied). Without an expectation (the
+  // seed commits) the commit is unconditional.
   [[nodiscard]] Expected<std::uint64_t> commit();
 
   // Discards a partially received epoch (primary failed mid-checkpoint).
@@ -174,18 +168,12 @@ class ReplicaStaging {
   [[nodiscard]] std::uint64_t peak_buffered_bytes() const { return peak_buffered_; }
 
  private:
-  struct WorkerBuffer {
-    std::vector<common::Gfn> gfns;
-    std::vector<std::uint8_t> bytes;  // gfns.size() * kPageSize
-  };
-
   [[nodiscard]] std::uint64_t buffered_bytes() const;
   void refresh_region_digest(std::uint32_t region);
 
   // Serializes the epoch frame/commit path (receive_frame, commit,
-  // begin/abort_epoch) against itself; per-worker page buffers stay
-  // lock-free because each worker owns its own buffer. Ranked so any future
-  // nesting against the pool queue or PML rings is order-checked.
+  // begin/abort_epoch) against itself. Ranked so any future nesting against
+  // the pool queue or PML rings is order-checked.
   mutable common::RankedMutex commit_mu_{common::LockRank::kStagingCommit,
                                          "rep.staging_commit"};
 
@@ -194,7 +182,6 @@ class ReplicaStaging {
   hv::VirtualDisk disk_;
   DurableStore* durable_ = nullptr;
   std::vector<hv::DiskWrite> pending_disk_writes_;
-  std::vector<WorkerBuffer> buffers_;
   std::uint64_t seeded_pages_ = 0;
   std::uint64_t open_epoch_ = 0;
   std::uint64_t committed_epoch_ = 0;

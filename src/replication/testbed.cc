@@ -30,9 +30,7 @@ Testbed::Testbed(TestbedConfig config)
 
   // Observability rides the engine's config pointers: the fabric shares the
   // same tracer/metrics so net.* events interleave with the engine's.
-  if (config_.engine.tracer != nullptr || config_.engine.metrics != nullptr) {
-    fabric_.attach_obs(config_.engine.tracer, config_.engine.metrics);
-  }
+  fabric_.attach_obs(config_.engine.tracer, config_.engine.metrics);
 
   EngineEnv env;
   if (config_.durable_replica) {

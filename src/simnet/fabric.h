@@ -201,6 +201,7 @@ class Fabric {
   std::uint64_t dropped_ = 0;
   std::uint64_t lost_ = 0;  // subset of dropped_: random loss, not partition
 
+  // Per-packet emitters: null guards spare untraced runs the args/histograms.
   obs::Tracer* tracer_ = nullptr;
   obs::Counter* m_packets_ = nullptr;
   obs::Counter* m_bytes_ = nullptr;

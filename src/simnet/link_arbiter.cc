@@ -10,6 +10,7 @@ LinkArbiter::LinkArbiter(sim::Simulation& simulation, double bytes_per_second)
   if (!(capacity_ > 0.0)) {
     throw std::invalid_argument("LinkArbiter: capacity must be positive");
   }
+  attach_obs(nullptr, nullptr);
 }
 
 LinkArbiter::FlowId LinkArbiter::register_flow(std::string name,
@@ -151,26 +152,20 @@ LinkArbiter::Reservation LinkArbiter::request(FlowId flow,
   f.stats.queueing += r.actual - r.ideal;
   total_bytes_ += bytes;
 
-  if (tracer_ != nullptr) {
-    tracer_->instant(now, "arb.grant", "net",
-                     {{"flow", f.stats.name},
-                      {"bytes", bytes},
-                      {"ideal_ns", r.ideal.count()},
-                      {"actual_ns", r.actual.count()}});
-  }
-  if (m_requests_ != nullptr) {
-    m_requests_->add(1);
-    m_bytes_->add(bytes);
-    m_queue_ms_->add(sim::to_millis(r.actual - r.ideal));
-    if (r.actual > r.ideal) m_queued_->add(1);
-  }
-  if (f.m_goodput != nullptr && r.actual > sim::Duration::zero()) {
+  tracer_->instant(now, "arb.grant", "net",
+                   {{"flow", f.stats.name},
+                    {"bytes", bytes},
+                    {"ideal_ns", r.ideal.count()},
+                    {"actual_ns", r.actual.count()}});
+  m_requests_->add(1);
+  m_bytes_->add(bytes);
+  m_queue_ms_->add(sim::to_millis(r.actual - r.ideal));
+  if (r.actual > r.ideal) m_queued_->add(1);
+  if (r.actual > sim::Duration::zero()) {
     f.m_goodput->set(static_cast<double>(bytes) * 8.0 / 1e6 /
                      sim::to_seconds(r.actual));
   }
-  if (f.m_queue_ms != nullptr) {
-    f.m_queue_ms->set(sim::to_millis(f.stats.queueing));
-  }
+  f.m_queue_ms->set(sim::to_millis(f.stats.queueing));
   return r;
 }
 
@@ -192,24 +187,21 @@ LinkArbiter::Reservation LinkArbiter::estimate(FlowId flow,
 }
 
 void LinkArbiter::register_flow_metrics(Flow& flow) {
-  if (metrics_ == nullptr) return;
   const std::string prefix = "net.arb." + flow.stats.name + ".";
   flow.m_goodput = &metrics_->gauge(prefix + "goodput_mbps");
   flow.m_queue_ms = &metrics_->gauge(prefix + "queue_ms");
 }
 
-void LinkArbiter::attach_obs(obs::Tracer* tracer,
+void LinkArbiter::attach_obs(const obs::Tracer* tracer,
                              obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  metrics_ = metrics;
-  if (metrics_ != nullptr) {
-    m_requests_ = &metrics_->counter("net.arb.requests");
-    m_bytes_ = &metrics_->counter("net.arb.bytes");
-    m_queued_ = &metrics_->counter("net.arb.queued_requests");
-    m_queue_ms_ = &metrics_->histogram(
-        "net.arb.queue_ms", {0.1, 0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500});
-    for (Flow& flow : flows_) register_flow_metrics(flow);
-  }
+  tracer_ = tracer != nullptr ? tracer : &obs::Tracer::none();
+  metrics_ = metrics != nullptr ? metrics : &own_metrics_;
+  m_requests_ = &metrics_->counter("net.arb.requests");
+  m_bytes_ = &metrics_->counter("net.arb.bytes");
+  m_queued_ = &metrics_->counter("net.arb.queued_requests");
+  m_queue_ms_ = &metrics_->histogram(
+      "net.arb.queue_ms", {0.1, 0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500});
+  for (Flow& flow : flows_) register_flow_metrics(flow);
 }
 
 }  // namespace here::net

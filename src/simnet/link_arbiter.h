@@ -93,8 +93,10 @@ class LinkArbiter {
 
   // Observability (borrowed; either may be null, both must outlive the
   // arbiter). Per-request "arb.grant" instants plus net.arb.* counters and
-  // per-flow goodput/queueing gauges (net.arb.<name>.*).
-  void attach_obs(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
+  // per-flow goodput/queueing gauges (net.arb.<name>.*). Until attached (or
+  // with null) the arbiter traces to obs::Tracer::none() and keeps its
+  // instruments in a private registry nobody reads.
+  void attach_obs(const obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
  private:
   struct Segment {
@@ -126,8 +128,10 @@ class LinkArbiter {
   std::uint64_t total_bytes_ = 0;
   double peak_reserved_rate_ = 0.0;
 
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  // Never null: the attached tracer/registry, else the fallbacks.
+  const obs::Tracer* tracer_ = &obs::Tracer::none();
+  obs::MetricsRegistry own_metrics_;
+  obs::MetricsRegistry* metrics_ = &own_metrics_;
   obs::Counter* m_requests_ = nullptr;
   obs::Counter* m_bytes_ = nullptr;
   obs::Counter* m_queued_ = nullptr;

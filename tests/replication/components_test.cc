@@ -9,6 +9,7 @@
 #include "replication/period_manager.h"
 #include "replication/staging.h"
 #include "replication/time_model.h"
+#include "replication/wire.h"
 #include "simnet/fabric.h"
 
 namespace here::rep {
@@ -32,7 +33,7 @@ TEST(PeriodManager, StartsAtTmax) {
 TEST(PeriodManager, FixedWhenTargetIsZero) {
   PeriodManager pm(pc(5, 0.0, 1));
   EXPECT_FALSE(pm.adaptive());
-  for (int i = 0; i < 10; ++i) pm.observe_pause(sim::from_seconds(4));
+  for (int i = 0; i < 10; ++i) pm.observe_epoch(sim::from_seconds(4));
   EXPECT_EQ(pm.current(), sim::from_seconds(5));
   // Degradation is still computed for reporting.
   EXPECT_NEAR(pm.last_degradation(), 4.0 / 9.0, 1e-9);
@@ -40,44 +41,44 @@ TEST(PeriodManager, FixedWhenTargetIsZero) {
 
 TEST(PeriodManager, TightensWhileUnderBudget) {
   PeriodManager pm(pc(10, 0.3, 1));
-  pm.observe_pause(sim::from_millis(100));  // tiny pause: D_curr << D
+  pm.observe_epoch(sim::from_millis(100));  // tiny pause: D_curr << D
   EXPECT_EQ(pm.current(), sim::from_seconds(9));
-  pm.observe_pause(sim::from_millis(100));
+  pm.observe_epoch(sim::from_millis(100));
   EXPECT_EQ(pm.current(), sim::from_seconds(8));
 }
 
 TEST(PeriodManager, WalksBackOnFirstOvershoot) {
   PeriodManager pm(pc(10, 0.3, 1));
-  pm.observe_pause(sim::from_millis(100));  // T: 10 -> 9 (Tprev = 10)
+  pm.observe_epoch(sim::from_millis(100));  // T: 10 -> 9 (Tprev = 10)
   ASSERT_EQ(pm.current(), sim::from_seconds(9));
   // Overshoot at T=9: t=9s -> D_curr = 0.5 > 0.3, Dprev was fine.
-  pm.observe_pause(sim::from_seconds(9));
+  pm.observe_epoch(sim::from_seconds(9));
   EXPECT_EQ(pm.current(), sim::from_seconds(10));  // back to Tprev
 }
 
 TEST(PeriodManager, MidpointJumpOnSustainedOvershoot) {
   PeriodManager pm(pc(20, 0.3, 1));
   // Drive T down to 16 with tiny pauses.
-  for (int i = 0; i < 4; ++i) pm.observe_pause(sim::from_millis(10));
+  for (int i = 0; i < 4; ++i) pm.observe_epoch(sim::from_millis(10));
   ASSERT_EQ(pm.current(), sim::from_seconds(16));
-  pm.observe_pause(sim::from_seconds(30));  // overshoot -> walk back to 17
+  pm.observe_epoch(sim::from_seconds(30));  // overshoot -> walk back to 17
   EXPECT_EQ(pm.current(), sim::from_seconds(17));
-  pm.observe_pause(sim::from_seconds(30));  // still over -> midpoint (17+20)/2
+  pm.observe_epoch(sim::from_seconds(30));  // still over -> midpoint (17+20)/2
   // 18.5 s rounded to the sigma grid (Algorithm 1 line 13: round(., sigma)).
   EXPECT_EQ(pm.current(), sim::from_seconds(19));
 }
 
 TEST(PeriodManager, NeverExceedsTmaxNorDropsBelowSigma) {
   PeriodManager pm(pc(5, 0.3, 1));
-  for (int i = 0; i < 100; ++i) pm.observe_pause(sim::from_millis(1));
+  for (int i = 0; i < 100; ++i) pm.observe_epoch(sim::from_millis(1));
   EXPECT_EQ(pm.current(), sim::from_seconds(1));  // floor at sigma
-  for (int i = 0; i < 100; ++i) pm.observe_pause(sim::from_seconds(60));
+  for (int i = 0; i < 100; ++i) pm.observe_epoch(sim::from_seconds(60));
   EXPECT_LE(pm.current(), sim::from_seconds(5));  // hard cap
 }
 
 TEST(PeriodManager, DegradationFormula) {
   PeriodManager pm(pc(8, 0.0, 1));
-  pm.observe_pause(sim::from_seconds(2));
+  pm.observe_epoch(sim::from_seconds(2));
   EXPECT_NEAR(pm.last_degradation(), 0.2, 1e-9);  // 2 / (2 + 8)
 }
 
@@ -88,7 +89,7 @@ TEST_P(PeriodManagerBounds, AlwaysWithinBounds) {
   PeriodManager pm(pc(12, 0.25, 0.5));
   sim::Rng rng(GetParam());
   for (int i = 0; i < 500; ++i) {
-    pm.observe_pause(sim::from_millis(rng.uniform_real(0.1, 20000.0)));
+    pm.observe_epoch(sim::from_millis(rng.uniform_real(0.1, 20000.0)));
     EXPECT_GE(pm.current(), sim::from_millis(500));
     EXPECT_LE(pm.current(), sim::from_seconds(12));
     // T stays on the sigma grid (Algorithm 1 adjusts in sigma steps).
@@ -180,18 +181,41 @@ std::vector<std::uint8_t> filled_page(std::uint8_t value) {
   return std::vector<std::uint8_t>(common::kPageSize, value);
 }
 
+// Offers the open epoch one sealed raw frame per (gfn, fill byte), in seq
+// order, after arming the matching epoch header.
+void stage_pages(
+    ReplicaStaging& staging, std::uint64_t epoch,
+    const std::vector<std::pair<common::Gfn, std::uint8_t>>& pages) {
+  std::vector<wire::RegionFrame> frames;
+  std::uint64_t digest = wire::digest_init();
+  for (const auto& [gfn, value] : pages) {
+    wire::RegionFrame f;
+    f.epoch = epoch;
+    f.seq = frames.size();
+    f.region = static_cast<std::uint32_t>(gfn / common::kPagesPerRegion);
+    f.gfns = {gfn};
+    f.bytes = filled_page(value);
+    wire::seal_frame(f);
+    digest = wire::digest_fold(digest, f);
+    frames.push_back(std::move(f));
+  }
+  staging.expect_epoch({epoch, frames.size(), digest});
+  for (wire::RegionFrame& f : frames) {
+    ASSERT_EQ(staging.receive_frame(std::move(f)), FrameVerdict::kOk);
+  }
+}
+
 TEST(ReplicaStaging, SeedPagesLandDirectly) {
-  ReplicaStaging staging(hv::make_vm_spec("t", 1, 1ULL << 20), 2);
+  ReplicaStaging staging(hv::make_vm_spec("t", 1, 1ULL << 20));
   staging.install_seed_page(3, filled_page(0xaa));
   EXPECT_EQ(staging.memory().page(3)[0], 0xaa);
   EXPECT_EQ(staging.seeded_pages(), 1u);
 }
 
 TEST(ReplicaStaging, EpochCommitIsAtomic) {
-  ReplicaStaging staging(hv::make_vm_spec("t", 1, 1ULL << 20), 2);
+  ReplicaStaging staging(hv::make_vm_spec("t", 1, 1ULL << 20));
   staging.begin_epoch(1);
-  staging.buffer_page(0, 5, filled_page(0x11));
-  staging.buffer_page(1, 6, filled_page(0x22));
+  stage_pages(staging, 1, {{5, 0x11}, {6, 0x22}});
   // Nothing applied before commit.
   EXPECT_EQ(staging.memory().page(5)[0], 0x00);
   const auto applied = staging.commit();
@@ -203,43 +227,41 @@ TEST(ReplicaStaging, EpochCommitIsAtomic) {
 }
 
 TEST(ReplicaStaging, AbortDiscardsPartialEpoch) {
-  ReplicaStaging staging(hv::make_vm_spec("t", 1, 1ULL << 20), 1);
+  ReplicaStaging staging(hv::make_vm_spec("t", 1, 1ULL << 20));
   staging.begin_epoch(1);
-  staging.buffer_page(0, 5, filled_page(0x11));
+  stage_pages(staging, 1, {{5, 0x11}});
   EXPECT_TRUE(staging.commit().ok());
   staging.begin_epoch(2);
-  staging.buffer_page(0, 5, filled_page(0x99));
+  stage_pages(staging, 2, {{5, 0x99}});
   staging.abort_epoch();
   // The partially transferred epoch 2 must not be visible.
   EXPECT_EQ(staging.memory().page(5)[0], 0x11);
   EXPECT_EQ(staging.committed_epoch(), 1u);
   // A later epoch still works.
   staging.begin_epoch(3);
-  staging.buffer_page(0, 5, filled_page(0x33));
+  stage_pages(staging, 3, {{5, 0x33}});
   EXPECT_TRUE(staging.commit().ok());
   EXPECT_EQ(staging.memory().page(5)[0], 0x33);
 }
 
 TEST(ReplicaStaging, LastWriterWinsWithinEpoch) {
-  ReplicaStaging staging(hv::make_vm_spec("t", 1, 1ULL << 20), 1);
+  ReplicaStaging staging(hv::make_vm_spec("t", 1, 1ULL << 20));
   staging.begin_epoch(1);
-  staging.buffer_page(0, 7, filled_page(0x01));
-  staging.buffer_page(0, 7, filled_page(0x02));
+  stage_pages(staging, 1, {{7, 0x01}, {7, 0x02}});
   EXPECT_TRUE(staging.commit().ok());
   EXPECT_EQ(staging.memory().page(7)[0], 0x02);
 }
 
 TEST(ReplicaStaging, PeakBufferAccounting) {
-  ReplicaStaging staging(hv::make_vm_spec("t", 1, 1ULL << 20), 1);
+  ReplicaStaging staging(hv::make_vm_spec("t", 1, 1ULL << 20));
   staging.begin_epoch(1);
-  staging.buffer_page(0, 1, filled_page(1));
-  staging.buffer_page(0, 2, filled_page(2));
+  stage_pages(staging, 1, {{1, 1}, {2, 2}});
   EXPECT_TRUE(staging.commit().ok());
   EXPECT_EQ(staging.peak_buffered_bytes(), 2 * common::kPageSize);
 }
 
 TEST(ReplicaStaging, ProgramSnapshotHandover) {
-  ReplicaStaging staging(hv::make_vm_spec("t", 1, 1ULL << 20), 1);
+  ReplicaStaging staging(hv::make_vm_spec("t", 1, 1ULL << 20));
   class Dummy : public hv::GuestProgram {
    public:
     void tick(hv::GuestEnv&, sim::Duration) override {}

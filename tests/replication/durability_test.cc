@@ -103,12 +103,12 @@ TEST(Durability, FiftySeedReplayDeterminism) {
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     // Two independent runs of the same seeded epoch stream...
     DurableStore store_a, store_b;
-    ReplicaStaging live_a(small_spec(), 1), live_b(small_spec(), 1);
+    ReplicaStaging live_a(small_spec()), live_b(small_spec());
     drive_epochs(seed, 6, store_a, live_a);
     drive_epochs(seed, 6, store_b, live_b);
 
     // ...each recovered into a fresh staging...
-    ReplicaStaging rec_a(small_spec(), 1), rec_b(small_spec(), 1);
+    ReplicaStaging rec_a(small_spec()), rec_b(small_spec());
     const auto ra = RecoveryManager(store_a).recover(rec_a);
     const auto rb = RecoveryManager(store_b).recover(rec_b);
     ASSERT_TRUE(ra.ok()) << "seed " << seed;
@@ -133,7 +133,7 @@ TEST(Durability, FiftySeedReplayDeterminism) {
 
 TEST(Durability, TornWriteTailRefusedValidPrefixReplays) {
   DurableStore store({.snapshot_interval_epochs = 100});
-  ReplicaStaging live(small_spec(), 1);
+  ReplicaStaging live(small_spec());
   drive_epochs(7, 5, store, live);
   ASSERT_EQ(store.wal_record_count(), 5u);
 
@@ -143,7 +143,7 @@ TEST(Durability, TornWriteTailRefusedValidPrefixReplays) {
   EXPECT_TRUE(log.damaged_tail);
   EXPECT_EQ(log.records.size(), 4u);  // valid prefix only
 
-  ReplicaStaging rec(small_spec(), 1);
+  ReplicaStaging rec(small_spec());
   const auto result = RecoveryManager(store).recover(rec);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result).recovered_epoch, 4u);
@@ -152,14 +152,14 @@ TEST(Durability, TornWriteTailRefusedValidPrefixReplays) {
   // The recovered image is exactly the epoch-4 image: replaying the live
   // stream again up to epoch 4 must agree.
   DurableStore redo_store;
-  ReplicaStaging redo(small_spec(), 1);
+  ReplicaStaging redo(small_spec());
   drive_epochs(7, 4, redo_store, redo);
   EXPECT_EQ(rec.memory().full_digest(), redo.memory().full_digest());
 }
 
 TEST(Durability, TruncatedTailRefusedValidPrefixReplays) {
   DurableStore store({.snapshot_interval_epochs = 100});
-  ReplicaStaging live(small_spec(), 1);
+  ReplicaStaging live(small_spec());
   drive_epochs(11, 5, store, live);
 
   store.truncate_wal_tail(10);  // power cut mid-append
@@ -168,7 +168,7 @@ TEST(Durability, TruncatedTailRefusedValidPrefixReplays) {
   EXPECT_TRUE(log.damaged_tail);
   EXPECT_EQ(log.records.size(), 4u);
 
-  ReplicaStaging rec(small_spec(), 1);
+  ReplicaStaging rec(small_spec());
   const auto result = RecoveryManager(store).recover(rec);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result).recovered_epoch, 4u);
@@ -177,7 +177,7 @@ TEST(Durability, TruncatedTailRefusedValidPrefixReplays) {
 
 TEST(Durability, NoSnapshotMeansNoLocalRecovery) {
   DurableStore store;
-  ReplicaStaging rec(small_spec(), 1);
+  ReplicaStaging rec(small_spec());
   const auto result = RecoveryManager(store).recover(rec);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
@@ -188,13 +188,13 @@ TEST(Durability, NoSnapshotMeansNoLocalRecovery) {
 TEST(Durability, RotationSnapshotsAndPointInTimeRestore) {
   // Interval 3: epochs 3 and 6 rotate the WAL into fresh snapshots.
   DurableStore store({.snapshot_interval_epochs = 3});
-  ReplicaStaging live(small_spec(), 1);
+  ReplicaStaging live(small_spec());
   drive_epochs(13, 8, store, live);
 
   EXPECT_GE(store.stats().snapshots, 3u);  // seed snapshot + two rotations
   EXPECT_EQ(store.wal_record_count(), 2u);  // epochs 7, 8 since the last one
 
-  ReplicaStaging rec(small_spec(), 1);
+  ReplicaStaging rec(small_spec());
   const auto result = RecoveryManager(store).recover(rec);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result).snapshot_epoch, 6u);

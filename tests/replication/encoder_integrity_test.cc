@@ -280,7 +280,7 @@ std::vector<std::uint8_t> patterned_page(std::uint8_t fill) {
 // verifies the base hash against the committed image before anything lands.
 TEST(EncodedStreamIntegrity, StaleDeltaBaseRefusedBeforeApply) {
   hv::VmSpec spec = hv::make_vm_spec("t", 1, 8ULL << 20);
-  ReplicaStaging staging(spec, 1);
+  ReplicaStaging staging(spec);
   const std::vector<std::uint8_t> committed = patterned_page(0xa1);
   staging.install_seed_page(5, committed);
   staging.begin_epoch(0);
@@ -324,7 +324,7 @@ TEST(EncodedStreamIntegrity, StaleDeltaBaseRefusedBeforeApply) {
 
 TEST(EncodedStreamIntegrity, StaleSkipBaseRefusedBeforeApply) {
   hv::VmSpec spec = hv::make_vm_spec("t", 1, 8ULL << 20);
-  ReplicaStaging staging(spec, 1);
+  ReplicaStaging staging(spec);
   const std::vector<std::uint8_t> committed = patterned_page(0xa1);
   staging.install_seed_page(5, committed);
   staging.begin_epoch(0);

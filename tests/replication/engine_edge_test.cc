@@ -72,6 +72,56 @@ TEST(EngineEdge, RemusWithHeterogeneousPairThrows) {
                std::invalid_argument);
 }
 
+// A drain between the seed's stop-and-copy and its epoch-0 commit must
+// cancel that commit: a drained generation never becomes protected, and its
+// stale commit must not resume (or reconfigure) a VM a successor may be
+// seeding.
+TEST(EngineEdge, DrainBeforeEpochZeroCommitCancelsIt) {
+  Testbed bed(base_config());
+  hv::Vm& vm = bed.create_vm(
+      std::make_unique<wl::SyntheticProgram>(wl::memory_microbench(10)));
+  struct Recorder : EngineObserver {
+    int protected_calls = 0;
+    void on_protected(hv::Vm&) override { ++protected_calls; }
+  } recorder;
+  bed.engine().add_observer(&recorder);
+  bed.protect(vm);
+  ReplicationEngine& engine = bed.engine();
+  while (engine.stats().seed.iterations == 0 &&
+         bed.simulation().step()) {
+  }
+  ASSERT_GT(engine.stats().seed.iterations, 0u);
+  ASSERT_FALSE(engine.seeded());
+
+  engine.drain("re-placement");
+  bed.simulation().run_for(sim::from_seconds(2));
+  EXPECT_FALSE(engine.seeded());
+  EXPECT_EQ(recorder.protected_calls, 0);
+  EXPECT_TRUE(engine.stats().checkpoints.empty());
+}
+
+// The seed target dying between the stop-and-copy and the epoch-0 commit
+// tears the attempt down (staging included); the commit scheduled for it
+// must die with it rather than commit into the discarded staging.
+TEST(EngineEdge, SecondaryCrashBeforeEpochZeroCommitCancelsIt) {
+  Testbed bed(base_config());
+  hv::Vm& vm = bed.create_vm(
+      std::make_unique<wl::SyntheticProgram>(wl::memory_microbench(10)));
+  bed.protect(vm);
+  ReplicationEngine& engine = bed.engine();
+  while (engine.stats().seed.iterations == 0 &&
+         bed.simulation().step()) {
+  }
+  ASSERT_GT(engine.stats().seed.iterations, 0u);
+  ASSERT_FALSE(engine.seeded());
+
+  bed.secondary().inject_fault(hv::FaultKind::kCrash);
+  bed.simulation().run_for(sim::from_seconds(2));
+  EXPECT_FALSE(engine.seeded());
+  EXPECT_EQ(engine.staging(), nullptr);
+  EXPECT_EQ(vm.state(), hv::VmState::kRunning);
+}
+
 TEST(EngineEdge, SecondaryCrashStopsFailoverButPrimaryKeepsServing) {
   Testbed bed(base_config());
   hv::Vm& vm = bed.create_vm(
@@ -273,10 +323,10 @@ TEST(EngineConfigValidation, RejectsBadPeriodPolicyParameters) {
 }
 
 TEST(EngineConfigValidation, ValidatePeriodConfigAcceptsDefaults) {
-  EXPECT_NO_THROW(validate_period_config(PeriodConfig{}));
+  EXPECT_TRUE(check_period_config(PeriodConfig{}).ok());
   PeriodConfig period;
   period.target_degradation = 0.30;
-  EXPECT_NO_THROW(validate_period_config(period));
+  EXPECT_TRUE(check_period_config(period).ok());
 }
 
 }  // namespace

@@ -21,8 +21,7 @@ struct SeedFixture {
         }()},
         bed(config),
         pool(mode == SeedMode::kHereMultithreaded ? vcpus : 1),
-        staging(config.vm_spec,
-                mode == SeedMode::kHereMultithreaded ? vcpus : 1),
+        staging(config.vm_spec),
         vm(bed.create_vm(std::make_unique<wl::SyntheticProgram>(
             wl::memory_microbench(load_percent)))) {
     seed_config.mode = mode;

@@ -1,8 +1,8 @@
-// ReplicaStaging edge cases: worker-buffer semantics (last-writer-wins,
-// cross-worker region sharing, abort discarding stale buffers) and the
-// verified frame path (duplicate/reordered/corrupt frames, NACK bookkeeping,
+// ReplicaStaging edge cases on the verified frame path: apply order
+// (last-writer-wins by seq, frames sharing a region), abort discarding
+// stale frames, duplicate/reordered/corrupt frames, NACK bookkeeping,
 // commit refusal on missing frames or digest mismatch, per-region digest
-// references for the scrubber).
+// references for the scrubber.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,10 +19,6 @@ namespace {
 
 // 8 MiB VM: 2048 pages, 4 regions of 512 pages each.
 hv::VmSpec small_spec() { return hv::make_vm_spec("t", 1, 8ULL << 20); }
-
-std::vector<std::uint8_t> filled_page(std::uint8_t value) {
-  return std::vector<std::uint8_t>(common::kPageSize, value);
-}
 
 // A sealed frame carrying `gfns` (all in one region), each page filled with
 // `value`.
@@ -47,26 +43,35 @@ wire::EpochHeader header_for(std::uint64_t epoch,
   return {epoch, frames.size(), digest};
 }
 
-// --- Worker-buffer semantics --------------------------------------------------
+// Arms `frames` as the open epoch's stream and offers every one of them.
+void stage(ReplicaStaging& staging, std::uint64_t epoch,
+           const std::vector<wire::RegionFrame>& frames) {
+  staging.expect_epoch(header_for(epoch, frames));
+  for (const wire::RegionFrame& f : frames) {
+    ASSERT_EQ(staging.receive_frame(f), FrameVerdict::kOk);
+  }
+}
+
+// --- Apply order --------------------------------------------------------------
 
 TEST(ReplicaStagingEdge, SameGfnBufferedTwiceLastWriterWins) {
-  ReplicaStaging staging(small_spec(), 2);
+  ReplicaStaging staging(small_spec());
   staging.begin_epoch(1);
-  staging.buffer_page(0, 7, filled_page(0x01));
-  staging.buffer_page(0, 7, filled_page(0x02));
-  // A later worker's buffer applies after an earlier worker's.
-  staging.buffer_page(1, 7, filled_page(0x03));
+  // Frames apply in seq order, so the highest seq carrying a page wins.
+  stage(staging, 1,
+        {make_frame(1, 0, {7}, 0x01), make_frame(1, 1, {7}, 0x02),
+         make_frame(1, 2, {7}, 0x03)});
   const auto applied = staging.commit();
   ASSERT_TRUE(applied.ok());
   EXPECT_EQ(staging.memory().page(7)[0], 0x03);
 }
 
 TEST(ReplicaStagingEdge, DistinctWorkersSameRegionAllApplied) {
-  ReplicaStaging staging(small_spec(), 2);
+  ReplicaStaging staging(small_spec());
   staging.begin_epoch(1);
-  // Both gfns live in region 0; each worker owns its own buffer.
-  staging.buffer_page(0, 10, filled_page(0xaa));
-  staging.buffer_page(1, 11, filled_page(0xbb));
+  // Both gfns live in region 0, each in a frame of its own.
+  stage(staging, 1,
+        {make_frame(1, 0, {10}, 0xaa), make_frame(1, 1, {11}, 0xbb)});
   const auto applied = staging.commit();
   ASSERT_TRUE(applied.ok());
   EXPECT_EQ(*applied, 2u);
@@ -75,18 +80,16 @@ TEST(ReplicaStagingEdge, DistinctWorkersSameRegionAllApplied) {
 }
 
 TEST(ReplicaStagingEdge, BeginEpochAfterAbortDiscardsStaleBuffers) {
-  ReplicaStaging staging(small_spec(), 1);
+  ReplicaStaging staging(small_spec());
   staging.begin_epoch(1);
-  staging.buffer_page(0, 3, filled_page(0xaa));
-  const wire::RegionFrame frame = make_frame(1, 0, {4}, 0xcc);
-  staging.expect_epoch(header_for(1, {frame}));
+  stage(staging, 1, {make_frame(1, 0, {3}, 0xaa), make_frame(1, 1, {4}, 0xcc)});
   EXPECT_TRUE(staging.expectation_armed());
   staging.abort_epoch();
   EXPECT_FALSE(staging.expectation_armed());
   EXPECT_EQ(staging.frames_verified(), 0u);
 
   staging.begin_epoch(2);
-  staging.buffer_page(0, 5, filled_page(0xbb));
+  stage(staging, 2, {make_frame(2, 0, {5}, 0xbb)});
   const auto applied = staging.commit();
   ASSERT_TRUE(applied.ok());
   EXPECT_EQ(*applied, 1u);
@@ -99,7 +102,7 @@ TEST(ReplicaStagingEdge, BeginEpochAfterAbortDiscardsStaleBuffers) {
 // --- Verified frame path ------------------------------------------------------
 
 TEST(ReplicaStagingEdge, WrongEpochFrameIgnored) {
-  ReplicaStaging staging(small_spec(), 1);
+  ReplicaStaging staging(small_spec());
   staging.begin_epoch(3);
   const wire::RegionFrame stale = make_frame(2, 0, {1}, 0x11);
   EXPECT_EQ(staging.receive_frame(stale), FrameVerdict::kWrongEpoch);
@@ -108,7 +111,7 @@ TEST(ReplicaStagingEdge, WrongEpochFrameIgnored) {
 }
 
 TEST(ReplicaStagingEdge, DuplicateSeqIgnored) {
-  ReplicaStaging staging(small_spec(), 1);
+  ReplicaStaging staging(small_spec());
   staging.begin_epoch(1);
   const wire::RegionFrame frame = make_frame(1, 0, {1, 2}, 0x11);
   EXPECT_EQ(staging.receive_frame(frame), FrameVerdict::kOk);
@@ -117,7 +120,7 @@ TEST(ReplicaStagingEdge, DuplicateSeqIgnored) {
 }
 
 TEST(ReplicaStagingEdge, CorruptFrameNacksRegionAndRetransmitRepairs) {
-  ReplicaStaging staging(small_spec(), 1);
+  ReplicaStaging staging(small_spec());
   staging.begin_epoch(1);
   const wire::RegionFrame pristine = make_frame(1, 0, {600}, 0x42);  // region 1
   staging.expect_epoch(header_for(1, {pristine}));
@@ -138,7 +141,7 @@ TEST(ReplicaStagingEdge, CorruptFrameNacksRegionAndRetransmitRepairs) {
 }
 
 TEST(ReplicaStagingEdge, TruncatedFrameMarksRegionCorrupt) {
-  ReplicaStaging staging(small_spec(), 1);
+  ReplicaStaging staging(small_spec());
   staging.begin_epoch(1);
   wire::RegionFrame frame = make_frame(1, 0, {0, 1}, 0x55);
   frame.bytes.resize(frame.bytes.size() - 7);  // tail cut mid-payload
@@ -147,7 +150,7 @@ TEST(ReplicaStagingEdge, TruncatedFrameMarksRegionCorrupt) {
 }
 
 TEST(ReplicaStagingEdge, CommitRefusedWhenFramesMissing) {
-  ReplicaStaging staging(small_spec(), 1);
+  ReplicaStaging staging(small_spec());
   staging.begin_epoch(1);
   const wire::RegionFrame a = make_frame(1, 0, {1}, 0x11);
   const wire::RegionFrame b = make_frame(1, 1, {512}, 0x22);
@@ -173,7 +176,7 @@ TEST(ReplicaStagingEdge, CommitRefusedWhenFramesMissing) {
 }
 
 TEST(ReplicaStagingEdge, CommitRefusedOnDigestMismatch) {
-  ReplicaStaging staging(small_spec(), 1);
+  ReplicaStaging staging(small_spec());
   staging.begin_epoch(1);
   const wire::RegionFrame announced = make_frame(1, 0, {9}, 0x11);
   staging.expect_epoch(header_for(1, {announced}));
@@ -190,10 +193,10 @@ TEST(ReplicaStagingEdge, CommitRefusedOnDigestMismatch) {
 }
 
 TEST(ReplicaStagingEdge, CommitRecordsRegionDigestReferences) {
-  ReplicaStaging staging(small_spec(), 1);
+  ReplicaStaging staging(small_spec());
   ASSERT_EQ(staging.region_count(), 4u);
   staging.begin_epoch(1);
-  staging.buffer_page(0, 600, filled_page(0x42));  // region 1
+  stage(staging, 1, {make_frame(1, 0, {600}, 0x42)});  // region 1
   ASSERT_TRUE(staging.commit().ok());
 
   // The first commit baselines every region; references match the image.
